@@ -67,6 +67,7 @@ struct ManagerAccess {
   static constexpr std::uint32_t op_disjoint() noexcept {
     return cache_tag::kDisjoint;
   }
+  static constexpr std::uint32_t op_agree() noexcept { return cache_tag::kAgree; }
 
   /// Bucket a (hi, lo) pair hashes to within a table of \p bucket_count
   /// (power-of-two) buckets.

@@ -28,8 +28,8 @@ constexpr std::uint64_t cache_hash(std::uint64_t k1, std::uint64_t k2) noexcept 
 /// Counter pair (hit = returned value, miss = value + 1) for a cache op
 /// tag.  The disjoint marker tag belongs to the "and" class: those probes
 /// are the early-exit containment walk of the AND family.  Remaining
-/// reserved manager tags and the client tags (>= kUserOpBase) fall into
-/// the "user" class.
+/// reserved manager tags (the agree predicate) and the client tags
+/// (>= kUserOpBase) fall into the "user" class.
 constexpr telemetry::Counter cache_hit_counter_of(std::uint32_t op) noexcept {
   using telemetry::CacheOpClass;
   CacheOpClass cls = CacheOpClass::kUser;
@@ -653,6 +653,32 @@ bool Manager::disjoint_rec(Edge f, Edge g) {
   return true;
 }
 
+bool Manager::agree(Edge f, Edge g, Edge c) {
+  if (c == kZero || f == g) return true;
+  // f != g are different functions, so they differ somewhere c == 1 holds.
+  if (f == !g || c == kOne) return false;
+  // f ^ g is symmetric and invariant under complementing both operands:
+  // order the pair by edge bits, then make the first one regular.
+  if (f.bits > g.bits) std::swap(f, g);
+  if (f.complemented()) {
+    f = !f;
+    g = !g;
+  }
+  Edge cached;
+  const CacheKey key = cache_key(cache_tag::kAgree, f, g, c);
+  if (cache_lookup(key, &cached)) return cached == kOne;
+  governor_.charge_step();
+  const std::uint32_t v = top_var(f, g, c);
+  const auto [f1, f0] = branches(f, v);
+  const auto [g1, g0] = branches(g, v);
+  const auto [c1, c0] = branches(c, v);
+  // Early exit: the first disagreeing cofactor answers the whole query.
+  // Both answers are exact, so both are memoized under the one tag.
+  const bool result = agree(f1, g1, c1) && agree(f0, g0, c0);
+  cache_insert(key, result ? kOne : kZero);
+  return result;
+}
+
 // ---------------------------------------------------------------------
 // Dynamic reordering (Rudell's sifting over in-place level swaps).
 // ---------------------------------------------------------------------
@@ -731,7 +757,6 @@ std::ptrdiff_t Manager::swap_adjacent_levels(std::uint32_t level) {
   }
   // Free the ex-children that died, so repeated swaps (sifting) see an
   // undistorted size signal and swap∘swap is the structural identity.
-  bool freed_any = false;
   while (!dead.empty()) {
     const std::uint32_t i = dead.back();
     dead.pop_back();
@@ -753,10 +778,11 @@ std::ptrdiff_t Manager::swap_adjacent_levels(std::uint32_t level) {
     // Swap frees bypass garbage_collect(); count them separately so the
     // audit's insert/reclaim cross-check still balances.
     counters_.bump(telemetry::Counter::kReorderNodesFreed);
-    freed_any = true;
   }
-  // Freed slots may be referenced by memoized results; drop them (O(1)).
-  if (freed_any) clear_caches();
+  // Drop every memoized result (O(1)): freed slots may be referenced by
+  // them, and the client covers (minimize/sibling.cpp) are only the
+  // heuristic's answer under the order they were computed in.
+  clear_caches();
   return static_cast<std::ptrdiff_t>(unique_size()) - before;
 }
 

@@ -217,6 +217,11 @@ class BDDMIN_CAPABILITY("Manager") Manager {
   /// cache entries with and_kernel (a disjoint subproof is an AND->0
   /// result and vice versa).
   [[nodiscard]] bool disjoint(Edge f, Edge g);
+  /// f and g agree wherever c holds: `(f XOR g) & c == 0`.  Early-
+  /// terminating like disjoint(): stops at the first cofactor triple that
+  /// disagrees and never builds the XOR or the product.  This is the whole
+  /// of the osm/tsm matching tests of Definition 5.
+  [[nodiscard]] bool agree(Edge f, Edge g, Edge c);
 
   // ---- Reference counting & garbage collection -------------------------
   void ref(Edge e) noexcept;

@@ -11,32 +11,49 @@
 namespace bddmin::minimize {
 namespace {
 
-/// Memo key for a (f, c) pair within one heuristic invocation.  Per-call
-/// maps mirror the paper's methodology of flushing caches between
-/// heuristics so measurements stay independent.
+/// Per-call memo for the recursions whose result depends on per-call
+/// level bounds (MixedTopDown, WindowPass): the computed-cache key has no
+/// room for them, so these keep a private (f, c) map.
 using PairMemo = std::unordered_map<std::uint64_t, Edge>;
 
 constexpr std::uint64_t pair_key(Edge f, Edge c) noexcept {
   return (std::uint64_t{f.bits} << 32) | c.bits;
 }
 
+/// Offset of an option set's tag within the cache_tag::kTdFirst block.
+constexpr std::uint32_t td_tag_offset(const SiblingOptions& opts) noexcept {
+  return 4 * static_cast<std::uint32_t>(opts.criterion) +
+         2 * std::uint32_t{opts.match_complement} +
+         std::uint32_t{opts.no_new_vars};
+}
+static_assert(cache_tag::kTdFirst +
+                  td_tag_offset({Criterion::kOsm, true, false}) ==
+              cache_tag::kTdOsmCp);
+static_assert(cache_tag::kTdFirst +
+                  td_tag_offset({Criterion::kTsm, true, true}) ==
+              cache_tag::kTdLast);
+
+/// Figure 2's generic_td.  The (f, c) -> cover memo is the manager's
+/// computed cache under the option set's own tag: a cover is canonical,
+/// so an evicted entry only costs recomputation, and the garbage
+/// collection between heuristics flushes it like every other entry.
 struct TopDown {
   Manager& mgr;
   const SiblingOptions& opts;
-  PairMemo memo;
+  std::uint32_t tag_offset;
 
   Edge run(Edge f, Edge c) {
     BDDMIN_DCHECK(c != kZero);
     if (c == kOne || Manager::is_const(f)) return f;
-    if (const auto it = memo.find(pair_key(f, c)); it != memo.end()) {
-      return it->second;
+    Edge ret;
+    if (mgr.cache_lookup(cache_tag::kTdFirst + tag_offset, f, c, kOne, &ret)) {
+      return ret;
     }
     mgr.governor().charge_step();
     const std::uint32_t top = mgr.top_var(f, c);
     const auto [f_t, f_e] = mgr.branches(f, top);
     const auto [c_t, c_e] = mgr.branches(c, top);
 
-    Edge ret;
     if (opts.no_new_vars && mgr.level_of(f) > mgr.level_of(c)) {
       // f is independent of c's top variable (all of f's support lies
       // below it): existentially drop that variable from the care set
@@ -58,7 +75,7 @@ struct TopDown {
     } else {
       ret = split(top, f_t, c_t, f_e, c_e);
     }
-    memo.emplace(pair_key(f, c), ret);
+    mgr.cache_insert(cache_tag::kTdFirst + tag_offset, f, c, kOne, ret);
     return ret;
   }
 
@@ -78,7 +95,7 @@ Edge generic_td(Manager& mgr, const SiblingOptions& opts, Edge f, Edge c) {
   // The traversal itself is result construction; the matching criteria it
   // calls re-scope themselves to kMatching.
   const telemetry::PhaseScope phase(telemetry::Phase::kCoverBuild);
-  TopDown ctx{mgr, opts, {}};
+  TopDown ctx{mgr, opts, td_tag_offset(opts)};
   return ctx.run(f, c);
 }
 

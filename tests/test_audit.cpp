@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "analysis/access.hpp"
 #include "analysis/audit.hpp"
 #include "analysis/cover_audit.hpp"
 #include "analysis/mutate.hpp"
@@ -109,6 +110,60 @@ TEST(Audit, CleanAfterEveryRegisteredHeuristic) {
     analysis::audit_cover(mgr, f.edge(), c.edge(), g.edge(), h.name, covers);
     EXPECT_TRUE(covers.ok()) << covers.summary();
   }
+}
+
+TEST(Audit, CleanAfterAllHeuristicsShareOneCache) {
+  // No flush between heuristics: the cache ends up holding ITE/kernel
+  // entries, agree verdicts and every sibling heuristic's memoized covers
+  // side by side, and all of them must audit clean.
+  Manager mgr(8);
+  std::mt19937_64 rng(37);
+  const minimize::IncSpec spec = workload::random_instance(mgr, 8, 0.5, rng);
+  std::vector<Bdd> pinned{Bdd(mgr, spec.f), Bdd(mgr, spec.c)};
+  for (const auto& h : minimize::all_heuristics()) {
+    pinned.emplace_back(mgr, h.run(mgr, spec.f, spec.c));
+  }
+  std::size_t agree_entries = 0;
+  std::size_t cover_entries = 0;
+  const auto& sets = analysis::ManagerAccess::cache(mgr);
+  for (std::size_t i = 0; i < sets.size() * 2; ++i) {
+    const auto& slot = sets[i >> 1].way[i & 1];
+    if (slot.k1 == ~0ull ||
+        slot.epoch != analysis::ManagerAccess::cache_epoch(mgr)) {
+      continue;
+    }
+    const auto op = static_cast<std::uint32_t>(slot.k1 >> 32);
+    agree_entries += op == analysis::ManagerAccess::op_agree() ? 1 : 0;
+    cover_entries +=
+        op >= cache_tag::kTdFirst && op <= cache_tag::kTdLast ? 1 : 0;
+  }
+  EXPECT_GT(agree_entries, 0u);
+  EXPECT_GT(cover_entries, 0u);
+  AuditReport report = full_audit(mgr);
+  EXPECT_TRUE(report.ok()) << report.summary();
+}
+
+TEST(Audit, PoisonedAgreeEntryIsDetected) {
+  Manager mgr(8);
+  const std::vector<Bdd> roots = populate(mgr, 43);
+  const Edge f = roots[0].edge();
+  const Edge g = roots[1].edge();
+  // f and g agree on the care set !(f ^ g) by construction.
+  const Edge care = !roots[4].edge();
+  ASSERT_TRUE(mgr.agree(f, g, care));
+  ASSERT_TRUE(full_audit(mgr).ok());
+  // Overwrite the verdict of an operand triple in canonical key order.
+  const Edge a = f.bits < g.bits ? f : g;
+  const Edge b = f.bits < g.bits ? g : f;
+  const Edge ka = a.complemented() ? !a : a;
+  const Edge kb = a.complemented() ? !b : b;
+  mgr.cache_insert(analysis::ManagerAccess::op_agree(), ka, kb, care, kZero);
+  ASSERT_FALSE(mgr.agree(f, g, care));  // the poison is live
+  AuditReport report = full_audit(mgr);
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(report.has(Category::kCache)) << report.summary();
+  EXPECT_NE(report.summary().find("agree"), std::string::npos)
+      << report.summary();
 }
 
 TEST(Audit, EveryMutationClassIsDetected) {

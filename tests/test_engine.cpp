@@ -363,7 +363,9 @@ TEST(BatchMetricsTable, UtilizationTotalsMatchWallTimePerWorker) {
 
 TEST(BatchMetricsTable, SingleThreadNeverSteals) {
   if (!telemetry::kHistogramsEnabled) GTEST_SKIP() << "telemetry compiled out";
-  const BatchReport report = run_batch(random_jobs(4, 6, 0.4, 777), {});
+  EngineOptions opts;
+  opts.num_threads = 1;  // the default is one worker per core
+  const BatchReport report = run_batch(random_jobs(4, 6, 0.4, 777), opts);
   ASSERT_EQ(report.metrics.workers.size(), 1u);
   EXPECT_EQ(report.metrics.steals, 0u);
   EXPECT_EQ(report.metrics.workers[0].steals, 0u);

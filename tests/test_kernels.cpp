@@ -2,7 +2,7 @@
 /// \brief Specialized apply kernels and the adaptive computed cache:
 /// differential tests of and_kernel/xor_kernel (and every connective
 /// rerouted onto them) against the ITE oracle, the early-exit
-/// leq/disjoint predicates, Manager::reset() reuse, and the
+/// leq/disjoint/agree predicates, Manager::reset() reuse, and the
 /// cache-growth invariant (results survive a mid-recursion resize).
 #include <gtest/gtest.h>
 
@@ -94,6 +94,74 @@ TEST(Kernels, RandomDifferentialAgainstIteOracle) {
     EXPECT_TRUE(mgr.leq(mgr.and_(f.edge(), g.edge()), f.edge()));
     EXPECT_TRUE(mgr.leq(f.edge(), mgr.or_(f.edge(), g.edge())));
     EXPECT_TRUE(mgr.disjoint(mgr.diff(f.edge(), g.edge()), g.edge()));
+  }
+}
+
+TEST(Kernels, ExhaustiveTwoVariableAgreeMatchesTruthTable) {
+  Manager mgr(2);
+  std::vector<Edge> fn(16);
+  for (unsigned tt = 0; tt < 16; ++tt) fn[tt] = from_tt(mgr, tt, 2);
+  for (unsigned a = 0; a < 16; ++a) {
+    for (unsigned b = 0; b < 16; ++b) {
+      for (unsigned c = 0; c < 16; ++c) {
+        const bool oracle = ((a ^ b) & c) == 0;
+        ASSERT_EQ(mgr.agree(fn[a], fn[b], fn[c]), oracle)
+            << "agree(" << a << ", " << b << ", " << c << ")";
+      }
+    }
+  }
+}
+
+TEST(Kernels, RandomSixVariableAgreeMatchesTruthTable) {
+  Manager mgr(6);
+  std::mt19937_64 rng(0xA6EEu);
+  int agreeing = 0;
+  for (int round = 0; round < 2000; ++round) {
+    // g differs from f on a sparse set; half the care sets avoid that set,
+    // so both answers occur often.
+    const std::uint64_t f = rng();
+    const std::uint64_t diff = rng() & rng() & rng();
+    const std::uint64_t g = f ^ diff;
+    std::uint64_t c = rng() & rng();
+    if (round % 2 == 0) c &= ~diff;
+    const bool oracle = ((f ^ g) & c) == 0;
+    agreeing += oracle ? 1 : 0;
+    const Edge ef = from_tt(mgr, f, 6);
+    const Edge eg = from_tt(mgr, g, 6);
+    const Edge ec = from_tt(mgr, c, 6);
+    ASSERT_EQ(mgr.agree(ef, eg, ec), oracle) << "round " << round;
+    // The canonicalized key must not leak into the answer: operand order
+    // and a complemented pair pose the same question.
+    ASSERT_EQ(mgr.agree(eg, ef, ec), oracle) << "round " << round;
+    ASSERT_EQ(mgr.agree(!ef, !eg, ec), oracle) << "round " << round;
+    ASSERT_EQ(mgr.agree(ef, !eg, ec), ((f ^ ~g) & c) == 0) << "round " << round;
+  }
+  EXPECT_GT(agreeing, 500);
+  EXPECT_LT(agreeing, 1900);
+}
+
+TEST(Kernels, AgreeBuildsNoNodesAndMemoizesBothAnswers) {
+  Manager mgr(12);
+  std::mt19937_64 rng(41);
+  const Bdd f(mgr, workload::random_function(mgr, 12, 0.4, rng));
+  const Bdd g(mgr, workload::random_function(mgr, 12, 0.4, rng));
+  const Bdd c(mgr, workload::random_function(mgr, 12, 0.2, rng));
+  const Bdd diff(mgr, mgr.xor_(f.edge(), g.edge()));
+  const Bdd agreeing_c(mgr, mgr.diff(c.edge(), diff.edge()));
+  const std::size_t nodes = mgr.allocated_nodes();
+  const bool agrees = mgr.agree(f.edge(), g.edge(), c.edge());
+  EXPECT_FALSE(agrees);
+  EXPECT_TRUE(mgr.agree(f.edge(), g.edge(), agreeing_c.edge()));
+  EXPECT_EQ(mgr.allocated_nodes(), nodes);  // a predicate, not a builder
+  EXPECT_EQ(agrees, mgr.disjoint(diff.edge(), c.edge()));
+  // Repeated queries, in any canonical variant, are answered from the
+  // cache without a single recursion step.
+  const telemetry::CounterSnapshot before = mgr.telemetry();
+  EXPECT_EQ(mgr.agree(g.edge(), f.edge(), c.edge()), agrees);
+  EXPECT_TRUE(mgr.agree(!f.edge(), !g.edge(), agreeing_c.edge()));
+  if (telemetry::kCountersEnabled) {
+    const telemetry::CounterSnapshot delta = mgr.telemetry() - before;
+    EXPECT_EQ(delta.value(telemetry::Counter::kGovernorSteps), 0u);
   }
 }
 

@@ -93,6 +93,17 @@ TEST(Manager, CacheRoundTrip) {
   EXPECT_FALSE(mgr.cache_lookup(Manager::kUserOpBase, x, kOne, kZero, &out));
 }
 
+TEST(Manager, LevelSwapDropsCachedResults) {
+  // Client memos such as the sibling covers are answers under one variable
+  // order, so a swap must invalidate them even when it frees no node.
+  Manager mgr(2);
+  const Edge x = mgr.var_edge(0);
+  mgr.cache_insert(Manager::kUserOpBase, x, kOne, kOne, !x);
+  (void)mgr.swap_adjacent_levels(0);
+  Edge out;
+  EXPECT_FALSE(mgr.cache_lookup(Manager::kUserOpBase, x, kOne, kOne, &out));
+}
+
 TEST(Manager, UniqueTableSurvivesGrowth) {
   Manager mgr(16);
   // Force several bucket growths; previously created nodes must still be

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <utility>
 
+#include "bdd/ops.hpp"
 #include "bdd/truth_table.hpp"
+#include "workload/instances.hpp"
 
 namespace bddmin::minimize {
 namespace {
@@ -194,6 +197,121 @@ TEST(Matching, SiblingMatchFailsWhenCareValuesConflict) {
   EXPECT_FALSE(sibling_match(mgr, Criterion::kOsdm, false, a, b));
   EXPECT_FALSE(sibling_match(mgr, Criterion::kOsm, false, a, b));
   EXPECT_FALSE(sibling_match(mgr, Criterion::kTsm, false, a, b));
+}
+
+/// The pre-fused construction of Definition 5: materialize f1 XOR f2 (and,
+/// for tsm, its product with c1) and only then run the early-exit
+/// disjointness walk.  Kept as the reference matches() must reproduce.
+bool reference_matches(Manager& mgr, Criterion crit, IncSpec a, IncSpec b) {
+  switch (crit) {
+    case Criterion::kOsdm:
+      return a.c == kZero;
+    case Criterion::kOsm:
+      return mgr.disjoint(mgr.xor_(a.f, b.f), a.c) && mgr.leq(a.c, b.c);
+    case Criterion::kTsm:
+      return mgr.disjoint(mgr.and_(mgr.xor_(a.f, b.f), a.c), b.c);
+  }
+  return false;
+}
+
+/// Definition 5 on truth tables over n <= 6 variables.
+bool tt_matches(Criterion crit, std::uint64_t f1, std::uint64_t c1,
+                std::uint64_t f2, std::uint64_t c2) {
+  switch (crit) {
+    case Criterion::kOsdm:
+      return c1 == 0;
+    case Criterion::kOsm:
+      return ((f1 ^ f2) & c1) == 0 && (c1 & ~c2) == 0;
+    case Criterion::kTsm:
+      return ((f1 ^ f2) & c1 & c2) == 0;
+  }
+  return false;
+}
+
+constexpr Criterion kCriteria[] = {Criterion::kOsdm, Criterion::kOsm,
+                                   Criterion::kTsm};
+
+/// The (f, c) truth tables of the property-suite corpus
+/// (tests/test_property_random.cpp): seeded instances over 2..6
+/// variables, uniform on even rounds and density-shaped workload
+/// instances on odd ones.
+std::pair<std::uint64_t, std::uint64_t> corpus_instance(unsigned n, int round) {
+  const std::uint64_t seed = 19940606u + static_cast<std::uint64_t>(round);
+  if (round % 2 == 0) {
+    std::mt19937_64 rng(seed);
+    const std::uint64_t f = rng() & tt_mask(n);
+    return {f, rng() & tt_mask(n)};
+  }
+  const double densities[] = {0.05, 0.25, 0.5, 0.75, 0.95};
+  Manager gen(n, 12);
+  const IncSpec spec =
+      workload::random_instance(gen, n, densities[(round / 2) % 5], seed);
+  return {to_tt(gen, spec.f, n), to_tt(gen, spec.c, n)};
+}
+
+TEST(Matching, FusedPredicateMatchesReferenceAndDefinition5OnCorpus) {
+  int matched[3] = {0, 0, 0};
+  int probes = 0;
+  for (int round = 0; round < 300; ++round) {
+    const unsigned n = 2 + static_cast<unsigned>(round % 5);
+    const auto [f_tt, c_tt] = corpus_instance(n, round);
+    Manager mgr(n);
+    const Edge f = from_tt(mgr, f_tt, n);
+    const Edge c = from_tt(mgr, c_tt, n);
+    // The sibling pairs a top-down matcher meets: the two cofactors of
+    // the instance with respect to each variable.
+    for (unsigned v = 0; v < n; ++v) {
+      const IncSpec t{cofactor(mgr, f, v, true), cofactor(mgr, c, v, true)};
+      const IncSpec e{cofactor(mgr, f, v, false), cofactor(mgr, c, v, false)};
+      for (const bool complement_else : {false, true}) {
+        const IncSpec else_spec{complement_else ? !e.f : e.f, e.c};
+        for (const Criterion crit : kCriteria) {
+          for (const bool swap : {false, true}) {
+            const IncSpec a = swap ? t : else_spec;
+            const IncSpec b = swap ? else_spec : t;
+            const bool got = matches(mgr, crit, a, b);
+            ++probes;
+            matched[static_cast<int>(crit)] += got ? 1 : 0;
+            ASSERT_EQ(got, reference_matches(mgr, crit, a, b))
+                << to_string(crit) << " round " << round << " var " << v;
+            ASSERT_EQ(got, tt_matches(crit, to_tt(mgr, a.f, n),
+                                      to_tt(mgr, a.c, n), to_tt(mgr, b.f, n),
+                                      to_tt(mgr, b.c, n)))
+                << to_string(crit) << " round " << round << " var " << v;
+          }
+        }
+      }
+    }
+  }
+  // Every criterion sees both answers on this corpus.
+  for (const int m : matched) {
+    EXPECT_GT(m, 0);
+    EXPECT_LT(m, probes / 3);
+  }
+}
+
+TEST(Matching, FusedPredicateMatchesReferenceOnWiderInstances) {
+  Manager mgr(10);
+  std::mt19937_64 rng(0x5EEDu);
+  for (int round = 0; round < 200; ++round) {
+    const IncSpec spec = workload::random_instance(mgr, 10, 0.3, rng);
+    const unsigned v = static_cast<unsigned>(round % 10);
+    const IncSpec t{cofactor(mgr, spec.f, v, true),
+                    cofactor(mgr, spec.c, v, true)};
+    const IncSpec e{cofactor(mgr, spec.f, v, false),
+                    cofactor(mgr, spec.c, v, false)};
+    for (const bool complement_else : {false, true}) {
+      const IncSpec else_spec{complement_else ? !e.f : e.f, e.c};
+      for (const Criterion crit : kCriteria) {
+        ASSERT_EQ(matches(mgr, crit, else_spec, t),
+                  reference_matches(mgr, crit, else_spec, t))
+            << to_string(crit) << " round " << round;
+        ASSERT_EQ(matches(mgr, crit, t, else_spec),
+                  reference_matches(mgr, crit, t, else_spec))
+            << to_string(crit) << " round " << round;
+      }
+    }
+  }
 }
 
 TEST(Matching, ToStringNames) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <vector>
 
 #include "bdd/ops.hpp"
 #include "bdd/truth_table.hpp"
@@ -290,6 +291,68 @@ TEST(Sibling, FullWindowEqualsUnscheduledMatching) {
     const Edge c = from_tt(mgr, c_tt, 5);
     const IncSpec out = sibling_window_pass(mgr, Criterion::kOsm, 0, 4, {f, c});
     EXPECT_TRUE(is_cover(mgr, constrain(mgr, out.f, out.c), {f, c}));
+  }
+}
+
+/// The cover memo lives in the manager's computed cache, which may evict
+/// any entry at any time and is shared by every heuristic run on the
+/// manager.  A memo that only caches canonical covers makes both
+/// invisible: the covers below must not depend on the cache at all.
+constexpr unsigned kMemoVars = 10;
+
+/// The function of \p g as its value on every assignment (exact, so it
+/// compares covers built in different managers).
+std::vector<bool> truth_vector(const Manager& mgr, Edge g) {
+  std::vector<bool> out;
+  std::vector<bool> assignment(kMemoVars);
+  for (unsigned m = 0; m < (1u << kMemoVars); ++m) {
+    for (unsigned v = 0; v < kMemoVars; ++v) assignment[v] = (m >> v) & 1;
+    out.push_back(eval(mgr, g, assignment));
+  }
+  return out;
+}
+
+/// Every sibling heuristic's cover of seeded instance \p seed, each on a
+/// fresh manager with 2^cache_log2 cache slots (frozen at that size when
+/// \p freeze).
+std::vector<std::vector<bool>> covers_on_fresh_managers(
+    std::uint64_t seed, unsigned cache_log2 = 18, bool freeze = false) {
+  std::vector<std::vector<bool>> covers;
+  for (const NamedHeuristic& h : kAll) {
+    Manager mgr(kMemoVars, cache_log2);
+    if (freeze) mgr.set_cache_growth_limit(mgr.cache_log2());
+    const IncSpec spec = workload::random_instance(mgr, kMemoVars, 0.4, seed);
+    covers.push_back(truth_vector(mgr, h.fn(mgr, spec.f, spec.c)));
+  }
+  return covers;
+}
+
+TEST(SiblingMemo, CoversIgnoreCacheSizeAndEviction) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const auto by_default = covers_on_fresh_managers(seed);
+    // Four slots and no growth: nearly every memoized cover is evicted
+    // before it can be reused.
+    const auto thrashing = covers_on_fresh_managers(seed, 2, true);
+    for (std::size_t h = 0; h < std::size(kAll); ++h) {
+      EXPECT_EQ(thrashing[h], by_default[h]) << kAll[h].name << " seed " << seed;
+    }
+  }
+}
+
+TEST(SiblingMemo, BackToBackHeuristicsOnOneManagerMatchFreshManagers) {
+  // The engine's warm-job path: heuristics share a manager and its cache
+  // with no flush in between; each option set's memo must stay its own.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const auto fresh = covers_on_fresh_managers(seed);
+    Manager shared(kMemoVars);
+    const IncSpec spec = workload::random_instance(shared, kMemoVars, 0.4, seed);
+    for (int pass = 0; pass < 2; ++pass) {  // the second pass hits the memo
+      for (std::size_t h = 0; h < std::size(kAll); ++h) {
+        const Edge g = kAll[h].fn(shared, spec.f, spec.c);
+        EXPECT_EQ(truth_vector(shared, g), fresh[h])
+            << kAll[h].name << " seed " << seed << " pass " << pass;
+      }
+    }
   }
 }
 
