@@ -40,11 +40,13 @@ const std::vector<FailPointRegistry::CatalogEntry> kCatalog = {
      "before any mutation (an abort between swaps)",
      0},
     {"minimize_deadline",
-     "throw Deadline at the entry of the restrict heuristic",
+     "throw Deadline in the engine's run_budgeted, before each heuristic "
+     "(and fallback) call",
      0},
     {"minimize_hang",
-     "abort-aware sleep (value = ms) at the entry of the restrict "
-     "heuristic; cancelled by the engine watchdog via AbortRequested",
+     "abort-aware sleep (value = ms) in the engine's run_budgeted, before "
+     "each heuristic (and fallback) call; cancelled by the engine watchdog "
+     "via AbortRequested",
      200},
     {"job_decode_corrupt",
      "reject the job payload as corrupted in engine::decode_job "

@@ -111,13 +111,13 @@ struct JobControl {
 };
 
 /// Abort-aware sleep for the injected hang sites: stalls for \p ms but
-/// stays cancellable, throwing AbortRequested when the watchdog fires.
-void hang_sleep(std::uint64_t ms, const JobControl& control) {
+/// stays cancellable, throwing AbortRequested(\p why) once \p aborted()
+/// reports the watchdog fired.
+template <typename Aborted>
+void hang_sleep(std::uint64_t ms, Aborted aborted, const char* why) {
   const auto deadline = Clock::now() + std::chrono::milliseconds(ms);
   while (Clock::now() < deadline) {
-    if (control.aborted()) {
-      throw AbortRequested("watchdog (injected hang)");
-    }
+    if (aborted()) throw AbortRequested(why);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 }
@@ -215,6 +215,16 @@ struct WorkerContext {
                                 const ResourceLimits& budget, Edge f, Edge c) {
   mgr.governor().set_limits(budget);
   try {
+    // The two minimize-layer failpoints: a budget trip and a cooperative
+    // hang, both before the heuristic does any work.
+    if (BDDMIN_FAILPOINT("minimize_deadline")) {
+      throw Deadline(0.0);
+    }
+    if (const auto hit = BDDMIN_FAILPOINT("minimize_hang")) {
+      hang_sleep(
+          hit.value, [&] { return mgr.governor().abort_requested(); },
+          "watchdog (failpoint: minimize_hang)");
+    }
     const Edge g = h.run(mgr, f, c);
     mgr.governor().clear();
     return g;
@@ -587,7 +597,9 @@ void worker_loop(WorkStealingQueue& queue, std::span<const Job> jobs,
             flight.record(FlightEventType::kFailpoint,
                           static_cast<std::uint32_t>(index),
                           static_cast<std::uint16_t>(attempt), 0);
-            hang_sleep(hit.value, control);
+            hang_sleep(
+                hit.value, [&] { return control.aborted(); },
+                "watchdog (injected hang)");
           }
           outcome = process_job(jobs[index], ctx, pool, control, warm,
                                 decode_scratch);

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "bdd/manager.hpp"
 
@@ -18,6 +19,11 @@ struct IncSpec {
 
   friend constexpr bool operator==(IncSpec, IncSpec) noexcept = default;
 };
+
+/// Key of the edge pair (f, c) in minimize/'s per-call maps: f high, c low.
+[[nodiscard]] constexpr std::uint64_t pair_key(Edge f, Edge c) noexcept {
+  return (std::uint64_t{f.bits} << 32) | c.bits;
+}
 
 /// Definition 2: g is a cover of [f,c] iff f·c <= g <= f + c̄, equivalently
 /// (g XOR f)·c == 0.

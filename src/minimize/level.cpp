@@ -10,10 +10,6 @@
 namespace bddmin::minimize {
 namespace {
 
-constexpr std::uint64_t pair_key(Edge f, Edge c) noexcept {
-  return (std::uint64_t{f.bits} << 32) | c.bits;
-}
-
 struct Collector {
   Manager& mgr;
   std::uint32_t level;

@@ -55,7 +55,7 @@ struct LevelOptions {
 struct CollectedLevel {
   std::vector<IncSpec> specs;   ///< unique functions (graph vertices)
   std::vector<CubeVec> paths;   ///< first root path reaching each vertex
-  /// (f.bits, c.bits) pair -> vertex index, for the substitution pass.
+  /// pair_key(f, c) -> vertex index, for the substitution pass.
   std::unordered_map<std::uint64_t, std::size_t> pair_to_vertex;
 };
 
@@ -90,8 +90,9 @@ struct CliqueCover {
 [[nodiscard]] IncSpec merge_clique(Manager& mgr, std::span<const IncSpec> specs,
                                    std::span<const std::size_t> members);
 
-/// Rebuild [f, c] with each boundary pair replaced per \p replacement
-/// (pairs without an entry are kept).  The result is an i-cover of spec.
+/// Rebuild [f, c] with each boundary pair replaced per \p replacement,
+/// keyed by pair_key(f, c) (pairs without an entry are kept).  The result
+/// is an i-cover of spec.
 [[nodiscard]] IncSpec substitute_at_level(
     Manager& mgr, IncSpec spec, std::uint32_t level,
     const std::unordered_map<std::uint64_t, IncSpec>& replacement);

@@ -2,7 +2,8 @@
 /// \brief Sibling-matching heuristics: the generic top-down algorithm of
 /// Figure 2 and its eight distinct instantiations (Table 2).
 ///
-/// The traversal walks f and c in lock step.  At each node it may:
+/// One traversal, shared by generic_td, mixed_td and sibling_window_pass,
+/// walks f and c in lock step.  At each node it may:
 ///  1. keep f independent of a variable c introduces (no-new-vars rule,
 ///     the restrict idea),
 ///  2. match the two sibling subfunctions, deleting the parent node,

@@ -562,9 +562,10 @@ std::string inv_fault_detected(StressContext& ctx) {
 
 /// Failpoints that are safe to leave armed in random mode while ordinary
 /// BDD work runs: each injects a ResourceExhausted the strong-abort
-/// machinery already handles.  The hang/corruption/process-death sites are
-/// deliberately excluded — they need the engine's watchdog/retry harness
-/// around them (fp-batch provides it for the deadline site).
+/// machinery already handles.  minimize_deadline sits at the engine's
+/// per-heuristic boundary, so only fp-batch reaches it.  The
+/// hang/corruption/process-death sites are deliberately excluded — they
+/// need the engine's watchdog/retry harness around them.
 constexpr const char* kSafeRandomPoints[] = {
     "unique_insert_oom", "bucket_grow_oom", "gc_oom", "minimize_deadline"};
 
@@ -637,8 +638,8 @@ void run_fp_audit(StressContext& ctx) {
 }
 
 /// Ordinary operations with the safe failpoints possibly armed: an
-/// injected OutOfMemory/Deadline must abort the one operation with the
-/// strong guarantee (the invariant audit convicts any torn state) and the
+/// injected OutOfMemory must abort the one operation with the strong
+/// guarantee (the invariant audit convicts any torn state) and the
 /// tracked pool must stay intact.  The result is discarded — whether the
 /// fault fired is non-deterministic across threads, so nothing
 /// fire-dependent reaches the digest.

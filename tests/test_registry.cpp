@@ -91,6 +91,20 @@ TEST(Registry, MixedCriterionCoversAndDegenerates) {
     MixedOptions all_upper;
     all_upper.switch_level = 99;
     EXPECT_EQ(mixed_td(mgr, all_upper, f, c), osm_bt(mgr, f, c));
+    // With upper == lower the switch level is moot: mixed_td (per-call
+    // memo) equals generic_td (computed-cache memo) on every option set.
+    for (const Criterion crit :
+         {Criterion::kOsdm, Criterion::kOsm, Criterion::kTsm}) {
+      for (const bool mc : {false, true}) {
+        for (const bool nnv : {false, true}) {
+          const Edge want = generic_td(mgr, {crit, mc, nnv}, f, c);
+          for (const std::uint32_t switch_level : {0u, 2u, 99u}) {
+            EXPECT_EQ(mixed_td(mgr, {crit, crit, switch_level, mc, nnv}, f, c),
+                      want);
+          }
+        }
+      }
+    }
   }
 }
 

@@ -280,8 +280,9 @@ TEST(Sibling, WindowPassBelowWindowIsIdentity) {
 }
 
 TEST(Sibling, FullWindowEqualsUnscheduledMatching) {
-  // A window spanning every level with osm performs the same matches as
-  // osm_td would, so constraining the result afterwards can't be larger.
+  // A window spanning every level performs the same matches as the
+  // unwindowed walk with the same criterion, so its value part is that
+  // walk's cover, and constraining the i-cover afterwards still covers.
   Manager mgr(5);
   std::mt19937_64 rng(66);
   for (int round = 0; round < 30; ++round) {
@@ -289,8 +290,11 @@ TEST(Sibling, FullWindowEqualsUnscheduledMatching) {
     std::uint64_t c_tt = rng() & tt_mask(5);
     if (c_tt == 0) c_tt = 1;
     const Edge c = from_tt(mgr, c_tt, 5);
-    const IncSpec out = sibling_window_pass(mgr, Criterion::kOsm, 0, 4, {f, c});
-    EXPECT_TRUE(is_cover(mgr, constrain(mgr, out.f, out.c), {f, c}));
+    for (const Criterion crit : {Criterion::kOsm, Criterion::kTsm}) {
+      const IncSpec out = sibling_window_pass(mgr, crit, 0, 4, {f, c});
+      EXPECT_TRUE(is_cover(mgr, constrain(mgr, out.f, out.c), {f, c}));
+      EXPECT_EQ(out.f, generic_td(mgr, {crit, false, false}, f, c));
+    }
   }
 }
 

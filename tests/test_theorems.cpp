@@ -114,9 +114,9 @@ TEST(Proposition10, OsmFmmSinkCountIsMinimum) {
       const Edge c = from_tt(mgr, rng() & tt_mask(3), 3);
       // Keep only distinct incompletely specified functions (Prop 10's
       // premise).
-      const std::uint64_t key =
-          (std::uint64_t{mgr.and_(f, c).bits} << 32) | c.bits;
-      if (canon.insert(key).second) specs.push_back({f, c});
+      if (canon.insert(pair_key(mgr.and_(f, c), c)).second) {
+        specs.push_back({f, c});
+      }
     }
     const std::vector<std::size_t> rep = fmm_osm(mgr, specs);
     std::unordered_set<std::size_t> sinks(rep.begin(), rep.end());
