@@ -36,6 +36,16 @@ struct ManagerAccess {
     return m.free_list_;
   }
 
+  /// Slots listed for the next garbage_collect(): every allocated ref == 0
+  /// node must be among them (stale entries for revived or freed slots are
+  /// legal and filtered by the sweep).
+  static const std::vector<std::uint32_t>& gc_candidates(const Manager& m) noexcept {
+    return m.gc_candidates_;
+  }
+  static std::vector<std::uint32_t>& gc_candidates(Manager& m) noexcept {
+    return m.gc_candidates_;
+  }
+
   static const std::vector<std::uint32_t>& var_to_level(const Manager& m) noexcept {
     return m.var_to_level_;
   }

@@ -13,7 +13,8 @@
 /// root multiset (`exact_roots`), external must *equal* the root
 /// multiplicity, which additionally catches leaked references.  The pass
 /// also recomputes live/dead counters from actual refs — the accounting
-/// gap the old check_invariants() never covered — and checks that every
+/// gap the old check_invariants() never covered — checks that every dead
+/// node is on the manager's GC candidate list, and checks that every
 /// live node is reachable from some externally-referenced node (an
 /// unreachable live node can never be dereferenced again: a leak).
 #include <string>
@@ -85,6 +86,20 @@ void audit_refcounts(const Manager& mgr, std::span<const Edge> roots,
                "dead_count " + std::to_string(ManagerAccess::dead_count(mgr)) +
                    " but " + std::to_string(dead) +
                    " allocated nodes have ref == 0");
+  }
+
+  // GC candidates: garbage_collect() sweeps only listed slots, so a dead
+  // node missing from the list would never be reclaimed (a silent leak).
+  std::vector<std::uint8_t> listed(nodes.size(), 0);
+  for (const std::uint32_t i : ManagerAccess::gc_candidates(mgr)) {
+    if (i < nodes.size()) listed[i] = 1;
+  }
+  for (std::uint32_t i = 1; i < nodes.size(); ++i) {
+    const Node& n = nodes[i];
+    if (n.var == kFreeVar || n.ref != 0 || listed[i]) continue;
+    report.add(Category::kAccounting,
+               "dead node " + std::to_string(i) +
+                   " is missing from the GC candidate list (never reclaimed)");
   }
 
   // Reachability: a live node's refs come from clients (external) or from

@@ -79,6 +79,7 @@ Manager::Manager(unsigned num_vars, unsigned cache_log2)
   max_cache_log2_ = std::min(cache_log2 + kCacheGrowthHeadroom, kMaxCacheLog2);
   cache_set_mask_ = sets - 1;
   nodes_.reserve(1u << 12);
+  reserve_slot_lists(nodes_.capacity());
   for (SubTable& table : subtables_) table.buckets.assign(4, kNilIndex);
   std::iota(var_to_level_.begin(), var_to_level_.end(), 0u);
   std::iota(level_to_var_.begin(), level_to_var_.end(), 0u);
@@ -117,6 +118,8 @@ void Manager::reset(unsigned num_vars) {
   num_vars_ = num_vars;
   nodes_.clear();  // trivial elements: keeps capacity, frees nothing
   free_list_.clear();
+  for (const std::uint32_t i : gc_candidates_) gc_queued_[i] = 0;
+  gc_candidates_.clear();  // keeps capacity, like nodes_
   subtables_.resize(num_vars);  // grows only when a job needs more variables
   for (SubTable& table : subtables_) {
     table.buckets.assign(4, kNilIndex);  // fresh-manager bucket count
@@ -205,6 +208,7 @@ std::uint32_t Manager::unique_insert(std::uint32_t var, Edge hi, Edge lo) {
   } else {
     if (nodes_.size() >= (kNilIndex >> 1)) throw std::length_error("BDD node table full");
     try {
+      reserve_slot_lists(nodes_.size() + 1);
       nodes_.emplace_back();
     } catch (const std::bad_alloc&) {
       throw OutOfMemory("node table", 2 * nodes_.capacity() * sizeof(Node));
@@ -212,6 +216,7 @@ std::uint32_t Manager::unique_insert(std::uint32_t var, Edge hi, Edge lo) {
     index = static_cast<std::uint32_t>(nodes_.size() - 1);
   }
   counters_.bump(telemetry::Counter::kUniqueInserts);
+  queue_gc_candidate(index);  // born dead
   Node& n = nodes_[index];
   n.var = var;
   n.hi = hi;
@@ -296,28 +301,60 @@ void Manager::deref(Edge e) noexcept {
   if (--n.ref == 0) {
     --live_count_;
     ++dead_count_;
+    queue_gc_candidate(e.index());
   }
 }
 
+void Manager::queue_gc_candidate(std::uint32_t index) noexcept {
+  if (gc_queued_[index] != 0) return;
+  gc_queued_[index] = 1;
+  BDDMIN_DCHECK(gc_candidates_.size() < gc_candidates_.capacity());
+  gc_candidates_.push_back(index);  // capacity reserved: never allocates
+}
+
+void Manager::reserve_slot_lists(std::size_t slots) {
+  if (gc_queued_.size() >= slots && gc_candidates_.capacity() >= slots &&
+      free_list_.capacity() >= slots) {
+    return;
+  }
+  const std::size_t target = std::max(slots, 2 * gc_queued_.size());
+  gc_queued_.resize(target, 0);
+  gc_candidates_.reserve(target);
+  free_list_.reserve(target);
+}
+
 std::size_t Manager::garbage_collect() {
-  // Injected before any mutation: the work-list allocation is the only
-  // thing that can fail in a real GC, and it fails before the sweep.
+  // Injected before any mutation.  A real GC cannot fail: it sweeps in the
+  // candidate list and pushes onto the free list, and both have capacity
+  // for every slot of the table (reserve_slot_lists).
   if (BDDMIN_FAILPOINT("gc_oom")) {
     throw OutOfMemory("failpoint: gc work list",
                       nodes_.size() * sizeof(std::uint32_t));
   }
   ++gc_runs_;
   counters_.bump(telemetry::Counter::kGcRuns);
-  std::vector<std::uint32_t> work;
-  for (std::uint32_t i = 1; i < nodes_.size(); ++i) {
-    if (nodes_[i].var != kFreeVar && nodes_[i].ref == 0) work.push_back(i);
-  }
+  // Every allocated ref == 0 node is listed (queue_gc_candidate), so the
+  // listed slots still allocated and dead, sorted, are exactly the roots a
+  // full-table scan would find, in its order: the freed set, the free-list
+  // order and hence every later node index match the scan's.
+  for (const std::uint32_t i : gc_candidates_) gc_queued_[i] = 0;
+  std::erase_if(gc_candidates_, [this](std::uint32_t i) {
+    return nodes_[i].var == kFreeVar || nodes_[i].ref != 0;
+  });
+  std::sort(gc_candidates_.begin(), gc_candidates_.end());
+  const std::size_t freed = sweep_dead(gc_candidates_);
+  counters_.add(telemetry::Counter::kGcNodesReclaimed, freed);
+  clear_caches();  // cached results may reference freed nodes
+  return freed;
+}
+
+std::size_t Manager::sweep_dead(std::vector<std::uint32_t>& work) {
   std::size_t freed = 0;
   while (!work.empty()) {
     const std::uint32_t i = work.back();
     work.pop_back();
     Node& n = nodes_[i];
-    if (n.var == kFreeVar) continue;  // already swept via another path
+    if (n.var == kFreeVar || n.ref != 0) continue;
     subtable_unlink(i);
     // Cascade: release this node's references on its children.
     for (const Edge child : {n.hi, n.lo}) {
@@ -335,8 +372,6 @@ std::size_t Manager::garbage_collect() {
     --dead_count_;
     ++freed;
   }
-  counters_.add(telemetry::Counter::kGcNodesReclaimed, freed);
-  clear_caches();  // cached results may reference freed nodes
   return freed;
 }
 
@@ -711,7 +746,7 @@ std::ptrdiff_t Manager::swap_adjacent_levels(std::uint32_t level) {
   // node unlinked) — exactly the abort the strong guarantee forbids.  So
   // the whole mutation runs with the node quota suspended, and the
   // worst-case slot growth (2 fresh nodes per interacting node, plus their
-  // free-list slots when they die again) is reserved up front, where a
+  // free-list and GC-candidate slots) is reserved up front, where a
   // failed allocation still leaves the table untouched.  The quota is
   // re-enforced at the safe point after the swap completes, so a budgeted
   // reorder still aborts — between swaps, never inside one.  (grow_buckets
@@ -720,7 +755,7 @@ std::ptrdiff_t Manager::swap_adjacent_levels(std::uint32_t level) {
   NodeQuotaSuspension quota_pause(governor_);
   try {
     nodes_.reserve(nodes_.size() + 2 * interacting.size());
-    free_list_.reserve(free_list_.size() + 2 * interacting.size());
+    reserve_slot_lists(nodes_.size() + 2 * interacting.size());
     dead.reserve(2 * interacting.size());
   } catch (const std::bad_alloc&) {
     throw OutOfMemory("node table",
@@ -757,28 +792,10 @@ std::ptrdiff_t Manager::swap_adjacent_levels(std::uint32_t level) {
   }
   // Free the ex-children that died, so repeated swaps (sifting) see an
   // undistorted size signal and swap∘swap is the structural identity.
-  while (!dead.empty()) {
-    const std::uint32_t i = dead.back();
-    dead.pop_back();
-    Node& n = nodes_[i];
-    if (n.var == kFreeVar || n.ref != 0) continue;
-    subtable_unlink(i);
-    for (const Edge child : {n.hi, n.lo}) {
-      Node& cn = nodes_[child.index()];
-      if (cn.ref == 0xFFFF'FFFFu) continue;
-      if (--cn.ref == 0) {
-        --live_count_;
-        ++dead_count_;
-        dead.push_back(child.index());
-      }
-    }
-    n.var = kFreeVar;
-    free_list_.push_back(i);
-    --dead_count_;
-    // Swap frees bypass garbage_collect(); count them separately so the
-    // audit's insert/reclaim cross-check still balances.
-    counters_.bump(telemetry::Counter::kReorderNodesFreed);
-  }
+  // Swap frees bypass garbage_collect(); count them separately so the
+  // audit's insert/reclaim cross-check still balances.  Their slots stay
+  // on gc_candidates_ until the next GC filters them out.
+  counters_.add(telemetry::Counter::kReorderNodesFreed, sweep_dead(dead));
   // Drop every memoized result (O(1)): freed slots may be referenced by
   // them, and the client covers (minimize/sibling.cpp) are only the
   // heuristic's answer under the order they were computed in.

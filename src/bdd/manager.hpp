@@ -228,6 +228,9 @@ class BDDMIN_CAPABILITY("Manager") Manager {
   void deref(Edge e) noexcept;
   /// Sweep all nodes with a zero reference count (cascading to children),
   /// clear the computed cache, and recycle indices.  Returns nodes freed.
+  /// Costs what it frees, not what the table holds: it visits only the
+  /// slots that entered ref == 0 since the last sweep (see gc_candidates_),
+  /// in the ascending order a full-table scan would find them.
   std::size_t garbage_collect();
   /// Drop all memoized operation results (the paper's "flush the caches").
   void clear_caches() noexcept;
@@ -356,6 +359,17 @@ class BDDMIN_CAPABILITY("Manager") Manager {
   [[nodiscard]] bool disjoint_rec(Edge f, Edge g);
   void maybe_grow_cache() noexcept;
   void grow_cache() noexcept;
+  /// Grow the per-slot lists (gc_candidates_, gc_queued_, free_list_) to
+  /// cover \p slots node slots, at least doubling.  Each holds a slot at
+  /// most once, so deref() and garbage_collect() never allocate.  Throws
+  /// std::bad_alloc and leaves the node table untouched.
+  void reserve_slot_lists(std::size_t slots);
+  /// List a slot that just entered ref == 0, at most once per slot.
+  void queue_gc_candidate(std::uint32_t index) noexcept;
+  /// Free the dead nodes on \p work and, cascading, every child whose last
+  /// reference they held, using \p work as a LIFO stack.  Entries already
+  /// free or revived (ref > 0) are skipped.  Returns the number freed.
+  std::size_t sweep_dead(std::vector<std::uint32_t>& work);
 
   /// Precomputed cache key: the recursions hash once, look up, recurse and
   /// insert under the same key without rehashing.  Only the full 64-bit
@@ -375,6 +389,15 @@ class BDDMIN_CAPABILITY("Manager") Manager {
   std::vector<std::uint32_t> var_to_level_;
   std::vector<std::uint32_t> level_to_var_;
   std::vector<std::uint32_t> free_list_;     // recycled node indices
+  // GC candidates: every slot that entered ref == 0 since the last sweep
+  // (born in unique_insert, or dropped 1 -> 0 by deref), listed once each
+  // while its gc_queued_ flag is set.  Entries whose slot was revived or
+  // freed since (a level swap frees without consuming the list) are
+  // filtered out by garbage_collect().  One entry per slot bounds the list
+  // by the table, and its capacity is reserved wherever the table grows,
+  // so deref() (noexcept, run by Bdd destructors) never allocates.
+  std::vector<std::uint32_t> gc_candidates_;
+  std::vector<std::uint8_t> gc_queued_;      // per slot: listed above
   // Mutable: a lookup that hits way 1 of a set promotes the entry to way 0
   // (move-to-front aging).  Like the counters, this is observation state.
   mutable std::vector<CacheSet> cache_;
