@@ -26,7 +26,8 @@ struct IncSpec {
 }
 
 /// Definition 2: g is a cover of [f,c] iff f·c <= g <= f + c̄, equivalently
-/// (g XOR f)·c == 0.
+/// (g XOR f)·c == 0.  This and the two predicates below are decided by
+/// Manager::agree (and leq), which build no nodes.
 [[nodiscard]] bool is_cover(Manager& mgr, Edge g, IncSpec spec);
 
 /// Definition 2: [outer] is an i-cover of [inner] iff every cover of

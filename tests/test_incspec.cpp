@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <random>
+#include <vector>
 
 #include "bdd/ops.hpp"
 #include "bdd/truth_table.hpp"
+#include "corpus.hpp"
 
 namespace bddmin::minimize {
 namespace {
@@ -92,6 +95,65 @@ TEST_F(IncSpecFixture, SameFunctionIgnoresDontCareValues) {
   EXPECT_TRUE(same_function(mgr, a, b));
   EXPECT_FALSE(same_function(mgr, a, IncSpec{!x0, x1}));
   EXPECT_FALSE(same_function(mgr, a, IncSpec{x0, mgr.var_edge(2)}));
+}
+
+// The node-building forms the fused predicates replaced: the reference
+// the differential test below holds them to.
+bool reference_is_cover(Manager& mgr, Edge g, IncSpec spec) {
+  return mgr.and_(mgr.xor_(g, spec.f), spec.c) == kZero;
+}
+bool reference_is_icover(Manager& mgr, IncSpec outer, IncSpec inner) {
+  return mgr.leq(inner.c, outer.c) &&
+         mgr.and_(mgr.xor_(outer.f, inner.f), inner.c) == kZero;
+}
+bool reference_same_function(Manager& mgr, IncSpec a, IncSpec b) {
+  return a.c == b.c && mgr.and_(mgr.xor_(a.f, b.f), a.c) == kZero;
+}
+
+TEST(IncSpecCorpus, FusedCoverChecksMatchTheXorAndReference) {
+  int covers = 0;
+  int non_covers = 0;
+  for (int round = 0; round < 300; ++round) {
+    const unsigned n = test::corpus_vars(round);
+    const auto [f_tt, c_tt] = test::corpus_instance(n, round);
+    std::mt19937_64 rng(static_cast<std::uint64_t>(round));
+    Manager mgr(n);
+    const IncSpec spec{from_tt(mgr, f_tt, n), from_tt(mgr, c_tt, n)};
+    // A cover: f on the care set, random off it.  Its non-cover twin
+    // flips one care minterm (when the care set has one).
+    const std::uint64_t cover_tt = (f_tt & c_tt) | (rng() & ~c_tt & tt_mask(n));
+    std::vector<std::uint64_t> candidates = {cover_tt, f_tt, ~f_tt & tt_mask(n),
+                                             rng() & tt_mask(n)};
+    if (c_tt != 0) {
+      std::uint64_t care = c_tt;
+      for (std::uint64_t k = rng() % std::popcount(c_tt); k > 0; --k) {
+        care &= care - 1;
+      }
+      candidates.push_back(cover_tt ^ (care & -care));
+    }
+    for (const std::uint64_t g_tt : candidates) {
+      const Edge g = from_tt(mgr, g_tt, n);
+      const bool got = is_cover(mgr, g, spec);
+      ASSERT_EQ(got, reference_is_cover(mgr, g, spec)) << "round " << round;
+      ASSERT_EQ(got, ((g_tt ^ f_tt) & c_tt) == 0) << "round " << round;
+      (got ? covers : non_covers) += 1;
+      // The same candidate as a value function, on the instance's care
+      // set and on a random sub- or superset of it.
+      for (const std::uint64_t inner_c_tt :
+           {c_tt, c_tt & rng(), (c_tt | rng()) & tt_mask(n)}) {
+        const IncSpec inner{g, from_tt(mgr, inner_c_tt, n)};
+        ASSERT_EQ(is_icover(mgr, spec, inner),
+                  reference_is_icover(mgr, spec, inner))
+            << "round " << round;
+        ASSERT_EQ(same_function(mgr, spec, inner),
+                  reference_same_function(mgr, spec, inner))
+            << "round " << round;
+      }
+    }
+  }
+  // The corpus exercises both answers.
+  EXPECT_GT(covers, 300);
+  EXPECT_GT(non_covers, 300);
 }
 
 TEST_F(IncSpecFixture, OnsetFractionOfSimpleShapes) {

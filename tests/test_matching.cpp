@@ -7,6 +7,7 @@
 
 #include "bdd/ops.hpp"
 #include "bdd/truth_table.hpp"
+#include "corpus.hpp"
 #include "workload/instances.hpp"
 
 namespace bddmin::minimize {
@@ -231,30 +232,12 @@ bool tt_matches(Criterion crit, std::uint64_t f1, std::uint64_t c1,
 constexpr Criterion kCriteria[] = {Criterion::kOsdm, Criterion::kOsm,
                                    Criterion::kTsm};
 
-/// The (f, c) truth tables of the property-suite corpus
-/// (tests/test_property_random.cpp): seeded instances over 2..6
-/// variables, uniform on even rounds and density-shaped workload
-/// instances on odd ones.
-std::pair<std::uint64_t, std::uint64_t> corpus_instance(unsigned n, int round) {
-  const std::uint64_t seed = 19940606u + static_cast<std::uint64_t>(round);
-  if (round % 2 == 0) {
-    std::mt19937_64 rng(seed);
-    const std::uint64_t f = rng() & tt_mask(n);
-    return {f, rng() & tt_mask(n)};
-  }
-  const double densities[] = {0.05, 0.25, 0.5, 0.75, 0.95};
-  Manager gen(n, 12);
-  const IncSpec spec =
-      workload::random_instance(gen, n, densities[(round / 2) % 5], seed);
-  return {to_tt(gen, spec.f, n), to_tt(gen, spec.c, n)};
-}
-
 TEST(Matching, FusedPredicateMatchesReferenceAndDefinition5OnCorpus) {
   int matched[3] = {0, 0, 0};
   int probes = 0;
   for (int round = 0; round < 300; ++round) {
-    const unsigned n = 2 + static_cast<unsigned>(round % 5);
-    const auto [f_tt, c_tt] = corpus_instance(n, round);
+    const unsigned n = test::corpus_vars(round);
+    const auto [f_tt, c_tt] = test::corpus_instance(n, round);
     Manager mgr(n);
     const Edge f = from_tt(mgr, f_tt, n);
     const Edge c = from_tt(mgr, c_tt, n);

@@ -31,6 +31,7 @@
 
 #include "bdd/ops.hpp"
 #include "bdd/truth_table.hpp"
+#include "corpus.hpp"
 #include "minimize/registry.hpp"
 #include "workload/instances.hpp"
 
@@ -43,7 +44,7 @@ std::uint64_t property_seed() {
   if (const char* env = std::getenv("BDDMIN_PROPERTY_SEED")) {
     return std::strtoull(env, nullptr, 10);
   }
-  return 19940606;  // DAC'94 vintage; any value works, this one is pinned.
+  return test::kCorpusSeed;
 }
 
 bool quick_mode() {
@@ -153,28 +154,13 @@ TEST(PropertyRandom, EveryHeuristicCoversEveryRandomInstance) {
               "(override with BDDMIN_PROPERTY_SEED)\n",
               static_cast<unsigned long long>(base), rounds);
   const std::vector<Heuristic> set = registered_heuristics();
-  const double densities[] = {0.05, 0.25, 0.5, 0.75, 0.95};
 
   std::map<std::string, int> growth;
   for (int round = 0; round < rounds; ++round) {
     const std::uint64_t seed = base + static_cast<std::uint64_t>(round);
-    const unsigned n = 2 + static_cast<unsigned>(round % 5);
-    Instance inst;
-    inst.n = n;
-    if (round % 2 == 0) {
-      // Uniform truth tables: every function equally likely.
-      std::mt19937_64 rng(seed);
-      inst.f_tt = rng() & tt_mask(n);
-      inst.c_tt = rng() & tt_mask(n);
-    } else {
-      // The seeded workload generator: density-shaped instances, the
-      // exact path bddmin_cli batch --seed reaches.
-      Manager gen(n, 12);
-      const minimize::IncSpec spec = workload::random_instance(
-          gen, n, densities[(round / 2) % 5], seed);
-      inst.f_tt = to_tt(gen, spec.f, n);
-      inst.c_tt = to_tt(gen, spec.c, n);
-    }
+    const unsigned n = test::corpus_vars(round);
+    const auto [f_tt, c_tt] = test::corpus_instance(n, round, base);
+    const Instance inst{n, f_tt, c_tt};
 
     Manager mgr(n, 12);
     const Edge f = from_tt(mgr, inst.f_tt, n);
