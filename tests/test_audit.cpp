@@ -3,6 +3,7 @@
 /// corruption class is detected by the pass that claims to cover it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <random>
 #include <stdexcept>
@@ -242,6 +243,26 @@ TEST(Audit, CheckInvariantsCoversRefSkew) {
   const std::vector<Bdd> roots = populate(mgr, 47);
   ASSERT_TRUE(analysis::inject(mgr, Mutation::kRefSkew).applied);
   EXPECT_THROW(mgr.check_invariants(), std::logic_error);
+}
+
+TEST(Audit, DeadNodeMissingFromGcCandidatesIsDetected) {
+  // garbage_collect() sweeps only listed slots: a dead node dropped from
+  // the list would never be reclaimed.
+  Manager mgr(8);
+  std::vector<Bdd> roots = populate(mgr, 59);
+  roots.pop_back();  // orphan a root so dead nodes definitely exist
+  ASSERT_TRUE(full_audit(mgr).ok());
+  const std::vector<Node>& nodes = analysis::ManagerAccess::nodes(mgr);
+  std::vector<std::uint32_t>& list = analysis::ManagerAccess::gc_candidates(mgr);
+  const auto dead = std::find_if(list.begin(), list.end(), [&](std::uint32_t i) {
+    return nodes[i].var != kFreeVar && nodes[i].ref == 0;
+  });
+  ASSERT_NE(dead, list.end());
+  list.erase(dead);
+  AuditReport report = full_audit(mgr);
+  EXPECT_TRUE(report.has(Category::kAccounting)) << report.summary();
+  EXPECT_NE(report.summary().find("GC candidate"), std::string::npos)
+      << report.summary();
 }
 
 TEST(Audit, FindingCapSuppressesButCounts) {

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <vector>
 
+#include "analysis/access.hpp"
 #include "bdd/bdd.hpp"
 #include "bdd/ops.hpp"
 #include "bdd/truth_table.hpp"
+#include "telemetry/counters.hpp"
+#include "workload/instances.hpp"
 
 namespace bddmin {
 namespace {
@@ -158,6 +162,182 @@ TEST(Gc, HeavyChurnStressKeepsCanonicity) {
   mgr.garbage_collect();
   EXPECT_EQ(to_tt(mgr, keep.edge(), 6), keep_tt);
   EXPECT_EQ(from_tt(mgr, keep_tt, 6), keep.edge());
+}
+
+// ---- Differential: the candidate-list GC against a full-table scan ------
+
+using analysis::ManagerAccess;
+
+/// What a full-table scan would free, in order: every allocated ref == 0
+/// slot pushed in ascending order, then swept LIFO, each freed node
+/// releasing its children (simulated on a copy of the ref counts).
+std::vector<std::uint32_t> full_scan_sweep(const Manager& mgr) {
+  const std::vector<Node>& nodes = ManagerAccess::nodes(mgr);
+  std::vector<std::uint32_t> refs(nodes.size());
+  std::vector<std::uint32_t> work;
+  for (std::uint32_t i = 0; i < nodes.size(); ++i) {
+    refs[i] = nodes[i].ref;
+    if (i > 0 && nodes[i].var != kFreeVar && nodes[i].ref == 0) work.push_back(i);
+  }
+  std::vector<std::uint32_t> freed;
+  while (!work.empty()) {
+    const std::uint32_t i = work.back();
+    work.pop_back();
+    freed.push_back(i);
+    for (const Edge child : {nodes[i].hi, nodes[i].lo}) {
+      std::uint32_t& r = refs[child.index()];
+      if (r != 0xFFFF'FFFFu && --r == 0) work.push_back(child.index());
+    }
+  }
+  return freed;
+}
+
+/// Run one GC and assert it freed exactly what a full scan would, in the
+/// same order: the tail it appends to the free list, its return value and
+/// the kGcNodesReclaimed delta.
+void expect_gc_matches_full_scan(Manager& mgr) {
+  const std::vector<std::uint32_t> expected = full_scan_sweep(mgr);
+  const std::vector<std::uint32_t>& free_list = ManagerAccess::free_list(mgr);
+  const std::size_t free_before = free_list.size();
+  const telemetry::CounterSnapshot before = mgr.telemetry();
+  const std::size_t freed = mgr.garbage_collect();
+  EXPECT_EQ(freed, expected.size());
+  ASSERT_EQ(free_list.size(), free_before + expected.size());
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
+                         free_list.begin() + static_cast<std::ptrdiff_t>(free_before)));
+  if (telemetry::kCountersEnabled) {
+    EXPECT_EQ((mgr.telemetry() - before).value(telemetry::Counter::kGcNodesReclaimed),
+              expected.size());
+  }
+  EXPECT_EQ(mgr.dead_nodes(), 0u);
+  EXPECT_TRUE(ManagerAccess::gc_candidates(mgr).empty());
+}
+
+TEST(GcDifferential, HandleCopiesAndDestructors) {
+  Manager mgr(8);
+  std::mt19937_64 rng(101);
+  std::vector<Bdd> pool;
+  for (int round = 0; round < 40; ++round) {
+    pool.emplace_back(mgr, workload::random_function(mgr, 8, 0.4, rng));
+    pool.push_back(pool[rng() % pool.size()] ^ pool[rng() % pool.size()]);
+    pool.push_back(pool[rng() % pool.size()]);  // copy
+    if (pool.size() > 6) pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(rng() % pool.size()));
+    if (round % 3 == 0) pool.erase(pool.begin());
+    expect_gc_matches_full_scan(mgr);
+  }
+}
+
+TEST(GcDifferential, ExplicitRefDeref) {
+  Manager mgr(8);
+  std::mt19937_64 rng(202);
+  std::vector<Edge> held;
+  for (int round = 0; round < 40; ++round) {
+    for (int k = 0; k < 3; ++k) {
+      const Edge f = workload::random_function(mgr, 8, 0.5, rng);
+      mgr.ref(f);
+      held.push_back(f);
+    }
+    // Release some, and revive a released one before the GC: a listed
+    // slot whose ref rose again must survive.
+    for (int k = 0; k < 2 && !held.empty(); ++k) {
+      const std::size_t pick = rng() % held.size();
+      mgr.deref(held[pick]);
+      if (rng() % 2 == 0) {
+        mgr.ref(held[pick]);
+      } else {
+        held.erase(held.begin() + static_cast<std::ptrdiff_t>(pick));
+      }
+    }
+    expect_gc_matches_full_scan(mgr);
+  }
+  for (const Edge f : held) mgr.deref(f);
+  expect_gc_matches_full_scan(mgr);
+  EXPECT_EQ(mgr.live_nodes(), 1u);
+}
+
+TEST(GcDifferential, NodeQuotaAborts) {
+  Manager mgr(6);
+  std::mt19937_64 rng(303);
+  const Bdd keep(mgr, from_tt(mgr, rng() & tt_mask(6), 6));
+  int aborts = 0;
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    ResourceLimits lim;
+    lim.hard_node_limit = mgr.live_nodes() + 5 + rng() % 30;
+    mgr.governor().set_limits(lim);
+    try {
+      for (int k = 0; k < 8; ++k) (void)from_tt(mgr, rng() & tt_mask(6), 6);
+    } catch (const NodeLimit&) {
+      ++aborts;  // partial results are dead nodes for the GC below
+    }
+    mgr.governor().clear();
+    expect_gc_matches_full_scan(mgr);
+  }
+  EXPECT_GT(aborts, 10);
+}
+
+TEST(GcDifferential, LevelSwapsAndSifting) {
+  Manager mgr(8);
+  std::mt19937_64 rng(404);
+  std::vector<Bdd> roots;
+  for (int round = 0; round < 12; ++round) {
+    for (int k = 0; k < 3; ++k) {
+      roots.emplace_back(mgr, workload::random_function(mgr, 8, 0.4, rng));
+    }
+    (void)workload::random_function(mgr, 8, 0.6, rng);  // garbage
+    roots.erase(roots.begin() + static_cast<std::ptrdiff_t>(rng() % roots.size()));
+    // Swaps with dead nodes present free slots that stay listed; the GC
+    // must skip them (or their reuse) and still match the scan.
+    for (int k = 0; k < 4; ++k) {
+      (void)mgr.swap_adjacent_levels(static_cast<std::uint32_t>(rng() % 7));
+    }
+    (void)workload::random_function(mgr, 8, 0.5, rng);  // reuses freed slots
+    expect_gc_matches_full_scan(mgr);
+    if (round % 4 == 3) {
+      mgr.reorder_sift();
+      roots.pop_back();
+      expect_gc_matches_full_scan(mgr);
+    }
+  }
+  mgr.check_invariants();
+}
+
+TEST(GcDifferential, Reset) {
+  Manager mgr(8);
+  std::mt19937_64 rng(505);
+  for (int job = 0; job < 6; ++job) {
+    const unsigned n = 4 + static_cast<unsigned>(job % 4);
+    mgr.reset(n);
+    EXPECT_TRUE(ManagerAccess::gc_candidates(mgr).empty());
+    {
+      const Bdd a(mgr, workload::random_function(mgr, n, 0.5, rng));
+      (void)workload::random_function(mgr, n, 0.5, rng);
+      expect_gc_matches_full_scan(mgr);
+      (void)(a & Bdd(mgr, workload::random_function(mgr, n, 0.3, rng)));
+    }
+    // Leave garbage behind on odd jobs: reset() must drop it and the list.
+    if (job % 2 == 0) expect_gc_matches_full_scan(mgr);
+  }
+}
+
+TEST(GcDifferential, DerefNeverGrowsTheCandidateList) {
+  Manager mgr(10);
+  std::mt19937_64 rng(606);
+  std::vector<Edge> roots;
+  for (int k = 0; k < 20; ++k) {
+    roots.push_back(workload::random_function(mgr, 10, 0.5, rng));
+    mgr.ref(roots.back());
+  }
+  mgr.garbage_collect();
+  const std::vector<std::uint32_t>& list = ManagerAccess::gc_candidates(mgr);
+  const std::size_t capacity = list.capacity();
+  for (int round = 0; round < 200; ++round) {
+    for (const Edge f : roots) mgr.deref(f);
+    EXPECT_EQ(list.capacity(), capacity);
+    for (const Edge f : roots) mgr.ref(f);
+  }
+  for (const Edge f : roots) mgr.deref(f);
+  EXPECT_EQ(list.capacity(), capacity);
+  expect_gc_matches_full_scan(mgr);
 }
 
 }  // namespace
