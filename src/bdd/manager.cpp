@@ -79,7 +79,7 @@ Manager::Manager(unsigned num_vars, unsigned cache_log2)
   max_cache_log2_ = std::min(cache_log2 + kCacheGrowthHeadroom, kMaxCacheLog2);
   cache_set_mask_ = sets - 1;
   nodes_.reserve(1u << 12);
-  reserve_slot_lists(nodes_.capacity());
+  reserve_gc_candidates(nodes_.capacity());
   for (SubTable& table : subtables_) table.buckets.assign(4, kNilIndex);
   std::iota(var_to_level_.begin(), var_to_level_.end(), 0u);
   std::iota(level_to_var_.begin(), level_to_var_.end(), 0u);
@@ -208,7 +208,7 @@ std::uint32_t Manager::unique_insert(std::uint32_t var, Edge hi, Edge lo) {
   } else {
     if (nodes_.size() >= (kNilIndex >> 1)) throw std::length_error("BDD node table full");
     try {
-      reserve_slot_lists(nodes_.size() + 1);
+      reserve_gc_candidates(nodes_.size() + 1);
       nodes_.emplace_back();
     } catch (const std::bad_alloc&) {
       throw OutOfMemory("node table", 2 * nodes_.capacity() * sizeof(Node));
@@ -312,21 +312,17 @@ void Manager::queue_gc_candidate(std::uint32_t index) noexcept {
   gc_candidates_.push_back(index);  // capacity reserved: never allocates
 }
 
-void Manager::reserve_slot_lists(std::size_t slots) {
-  if (gc_queued_.size() >= slots && gc_candidates_.capacity() >= slots &&
-      free_list_.capacity() >= slots) {
-    return;
-  }
+void Manager::reserve_gc_candidates(std::size_t slots) {
+  if (gc_queued_.size() >= slots && gc_candidates_.capacity() >= slots) return;
   const std::size_t target = std::max(slots, 2 * gc_queued_.size());
   gc_queued_.resize(target, 0);
   gc_candidates_.reserve(target);
-  free_list_.reserve(target);
 }
 
 std::size_t Manager::garbage_collect() {
-  // Injected before any mutation.  A real GC cannot fail: it sweeps in the
-  // candidate list and pushes onto the free list, and both have capacity
-  // for every slot of the table (reserve_slot_lists).
+  // Injected before any mutation.  The sweep allocates no work list: it
+  // runs in the candidate list, whose capacity covers the whole table
+  // (reserve_gc_candidates); only the free list may still grow.
   if (BDDMIN_FAILPOINT("gc_oom")) {
     throw OutOfMemory("failpoint: gc work list",
                       nodes_.size() * sizeof(std::uint32_t));
@@ -755,7 +751,8 @@ std::ptrdiff_t Manager::swap_adjacent_levels(std::uint32_t level) {
   NodeQuotaSuspension quota_pause(governor_);
   try {
     nodes_.reserve(nodes_.size() + 2 * interacting.size());
-    reserve_slot_lists(nodes_.size() + 2 * interacting.size());
+    reserve_gc_candidates(nodes_.size() + 2 * interacting.size());
+    free_list_.reserve(free_list_.size() + 2 * interacting.size());
     dead.reserve(2 * interacting.size());
   } catch (const std::bad_alloc&) {
     throw OutOfMemory("node table",

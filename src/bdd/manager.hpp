@@ -359,11 +359,11 @@ class BDDMIN_CAPABILITY("Manager") Manager {
   [[nodiscard]] bool disjoint_rec(Edge f, Edge g);
   void maybe_grow_cache() noexcept;
   void grow_cache() noexcept;
-  /// Grow the per-slot lists (gc_candidates_, gc_queued_, free_list_) to
-  /// cover \p slots node slots, at least doubling.  Each holds a slot at
-  /// most once, so deref() and garbage_collect() never allocate.  Throws
-  /// std::bad_alloc and leaves the node table untouched.
-  void reserve_slot_lists(std::size_t slots);
+  /// Grow gc_candidates_ and gc_queued_ to cover \p slots node slots, at
+  /// least doubling.  The list holds a slot at most once, so deref() and
+  /// the GC sweep never allocate.  Throws std::bad_alloc and leaves the
+  /// node table untouched.
+  void reserve_gc_candidates(std::size_t slots);
   /// List a slot that just entered ref == 0, at most once per slot.
   void queue_gc_candidate(std::uint32_t index) noexcept;
   /// Free the dead nodes on \p work and, cascading, every child whose last
