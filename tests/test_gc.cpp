@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <vector>
 
@@ -221,7 +222,9 @@ TEST(GcDifferential, HandleCopiesAndDestructors) {
     pool.emplace_back(mgr, workload::random_function(mgr, 8, 0.4, rng));
     pool.push_back(pool[rng() % pool.size()] ^ pool[rng() % pool.size()]);
     pool.push_back(pool[rng() % pool.size()]);  // copy
-    if (pool.size() > 6) pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(rng() % pool.size()));
+    if (pool.size() > 6) {
+      pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(rng() % pool.size()));
+    }
     if (round % 3 == 0) pool.erase(pool.begin());
     expect_gc_matches_full_scan(mgr);
   }
