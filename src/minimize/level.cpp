@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "analysis/check.hpp"
 #include "telemetry/profile.hpp"
@@ -16,20 +16,26 @@ struct Collector {
   std::size_t max_set_size;
   bool only_level_plus_one;
   CollectedLevel out;
-  std::unordered_set<std::uint64_t> visited;
+  /// pair_key(f, c) -> slot, so each distinct pair is walked once.
+  std::unordered_map<std::uint64_t, std::size_t> slot_of;
   /// canonical (f·c, c) -> vertex, so equal incompletely specified
   /// functions share one vertex (keeps the DMG acyclic).
   std::unordered_map<std::uint64_t, std::size_t> canonical_to_vertex;
   CubeVec path;
 
-  void walk(Edge f, Edge c) {
-    const std::uint64_t key = pair_key(f, c);
-    if (!visited.insert(key).second) return;
+  /// Returns the slot of (f, c).
+  std::size_t walk(Edge f, Edge c) {
+    const std::size_t s = out.slots.size();
+    if (const auto [it, fresh] = slot_of.try_emplace(pair_key(f, c), s);
+        !fresh) {
+      return it->second;
+    }
+    out.slots.push_back(LevelSlot{IncSpec{f, c}});
     const bool f_below = mgr.level_of(f) > level;  // constants are below all
     const bool c_below = mgr.level_of(c) > level;
     if (f_below && c_below) {
-      if (max_set_size != 0 && out.specs.size() >= max_set_size) return;
-      if (only_level_plus_one && mgr.level_of(f) != level + 1) return;
+      if (max_set_size != 0 && out.specs.size() >= max_set_size) return s;
+      if (only_level_plus_one && mgr.level_of(f) != level + 1) return s;
       const std::uint64_t canon = pair_key(mgr.and_(f, c), c);
       const auto [it, inserted] =
           canonical_to_vertex.try_emplace(canon, out.specs.size());
@@ -37,8 +43,8 @@ struct Collector {
         out.specs.push_back(IncSpec{f, c});
         out.paths.push_back(path);
       }
-      out.pair_to_vertex.emplace(key, it->second);
-      return;
+      out.slots[s].vertex = it->second;
+      return s;
     }
     const std::uint32_t v = mgr.top_var(f, c);
     const auto [f_t, f_e] = mgr.branches(f, v);
@@ -47,10 +53,16 @@ struct Collector {
     // weights depth correctly even under a permuted order.
     const std::uint32_t pos = mgr.level_of_var(v);
     path[pos] = 1;
-    walk(f_t, c_t);
+    const std::size_t t = walk(f_t, c_t);
     path[pos] = 0;
-    walk(f_e, c_e);
+    const std::size_t e = walk(f_e, c_e);
     path[pos] = kAbsentLiteral;
+    LevelSlot& slot = out.slots[s];
+    slot.var = v;
+    slot.t = t;
+    slot.e = e;
+    out.interior_postorder.push_back(s);
+    return s;
   }
 };
 
@@ -189,41 +201,25 @@ IncSpec merge_clique(Manager& mgr, std::span<const IncSpec> specs,
   return IncSpec{f, c};
 }
 
-namespace {
-
-struct Substituter {
-  Manager& mgr;
-  std::uint32_t level;
-  const std::unordered_map<std::uint64_t, IncSpec>& replacement;
-  std::unordered_map<std::uint64_t, IncSpec> memo;
-
-  IncSpec rebuild(Edge f, Edge c) {
-    const std::uint64_t key = pair_key(f, c);
-    if (mgr.level_of(f) > level && mgr.level_of(c) > level) {
-      const auto it = replacement.find(key);
-      return it != replacement.end() ? it->second : IncSpec{f, c};
-    }
-    if (const auto it = memo.find(key); it != memo.end()) return it->second;
-    mgr.governor().charge_step();
-    const std::uint32_t v = mgr.top_var(f, c);
-    const auto [f_t, f_e] = mgr.branches(f, v);
-    const auto [c_t, c_e] = mgr.branches(c, v);
-    const IncSpec t = rebuild(f_t, c_t);
-    const IncSpec e = rebuild(f_e, c_e);
-    const IncSpec result{mgr.make_node(v, t.f, e.f), mgr.make_node(v, t.c, e.c)};
-    memo.emplace(key, result);
-    return result;
-  }
-};
-
-}  // namespace
-
-IncSpec substitute_at_level(
-    Manager& mgr, IncSpec spec, std::uint32_t level,
-    const std::unordered_map<std::uint64_t, IncSpec>& replacement) {
+IncSpec substitute_at_level(Manager& mgr, const CollectedLevel& collected,
+                            std::span<const IncSpec> vertex_replacement) {
   const telemetry::PhaseScope phase(telemetry::Phase::kCoverBuild);
-  Substituter sub{mgr, level, replacement, {}};
-  return sub.rebuild(spec.f, spec.c);
+  const std::vector<LevelSlot>& slots = collected.slots;
+  std::vector<IncSpec> rebuilt(slots.size());
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    rebuilt[s] = slots[s].vertex == kNoVertex
+                     ? slots[s].pair
+                     : vertex_replacement[slots[s].vertex];
+  }
+  for (const std::size_t s : collected.interior_postorder) {
+    mgr.governor().charge_step();
+    const LevelSlot& slot = slots[s];
+    const IncSpec t = rebuilt[slot.t];
+    const IncSpec e = rebuilt[slot.e];
+    rebuilt[s] = IncSpec{mgr.make_node(slot.var, t.f, e.f),
+                         mgr.make_node(slot.var, t.c, e.c)};
+  }
+  return rebuilt[0];
 }
 
 namespace {
@@ -264,12 +260,7 @@ IncSpec minimize_at_level_once(Manager& mgr, Criterion crit,
     stats->groups = groups;
     stats->matched = r - groups;
   }
-  std::unordered_map<std::uint64_t, IncSpec> replacement;
-  replacement.reserve(collected.pair_to_vertex.size());
-  for (const auto& [key, vertex] : collected.pair_to_vertex) {
-    replacement.emplace(key, vertex_replacement[vertex]);
-  }
-  return substitute_at_level(mgr, spec, level, replacement);
+  return substitute_at_level(mgr, collected, vertex_replacement);
 }
 
 }  // namespace

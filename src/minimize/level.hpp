@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "bdd/cube.hpp"
@@ -47,16 +46,36 @@ struct LevelOptions {
   bool weight_by_distance = true;
 };
 
+/// Slot value of LevelSlot::vertex for pairs that are no graph vertex.
+inline constexpr std::size_t kNoVertex = SIZE_MAX;
+
+/// One distinct (f, c) pair met by the collection walk.  Interior pairs
+/// (f or c at or above the level) record their top variable and the slots
+/// of their two branches; boundary pairs (both below) record the vertex
+/// they were deduplicated to, or kNoVertex when the set cap or the
+/// level+1 filter left them out.
+struct LevelSlot {
+  IncSpec pair;
+  std::size_t vertex = kNoVertex;  ///< boundary pairs only
+  std::uint32_t var = 0;           ///< interior pairs only
+  std::size_t t = 0;               ///< interior pairs: slot of the hi branch
+  std::size_t e = 0;               ///< interior pairs: slot of the lo branch
+};
+
 /// The subfunctions [fj, cj] pointed to from level `level` or above whose
 /// f and c nodes both lie strictly below `level` (variable index >
 /// level, constants included).  Deduplicated as *incompletely specified
 /// functions* (same care set and same values on it), which keeps the osm
-/// DMG acyclic as required by Proposition 10.
+/// DMG acyclic as required by Proposition 10.  The walk that found them
+/// is recorded too, so substitution rebuilds the pairs above the level
+/// without walking them again.
 struct CollectedLevel {
   std::vector<IncSpec> specs;   ///< unique functions (graph vertices)
   std::vector<CubeVec> paths;   ///< first root path reaching each vertex
-  /// pair_key(f, c) -> vertex index, for the substitution pass.
-  std::unordered_map<std::uint64_t, std::size_t> pair_to_vertex;
+  std::vector<LevelSlot> slots;  ///< each distinct pair once; [0] is the root
+  /// Interior slots in post-order (hi branch first), children before
+  /// parents: the order substitution rebuilds them in.
+  std::vector<std::size_t> interior_postorder;
 };
 
 [[nodiscard]] CollectedLevel collect_at_level(Manager& mgr, IncSpec spec,
@@ -90,12 +109,14 @@ struct CliqueCover {
 [[nodiscard]] IncSpec merge_clique(Manager& mgr, std::span<const IncSpec> specs,
                                    std::span<const std::size_t> members);
 
-/// Rebuild [f, c] with each boundary pair replaced per \p replacement,
-/// keyed by pair_key(f, c) (pairs without an entry are kept).  The result
-/// is an i-cover of spec.
+/// Rebuild the collected root pair with each boundary vertex j replaced
+/// by \p vertex_replacement[j] (pairs that are no vertex are kept): one
+/// loop over the interior slots in post-order, two make_node calls each.
+/// The result is an i-cover of the root when every replacement i-covers
+/// its vertex.
 [[nodiscard]] IncSpec substitute_at_level(
-    Manager& mgr, IncSpec spec, std::uint32_t level,
-    const std::unordered_map<std::uint64_t, IncSpec>& replacement);
+    Manager& mgr, const CollectedLevel& collected,
+    std::span<const IncSpec> vertex_replacement);
 
 struct LevelStats {
   std::size_t vertices = 0;  ///< functions collected

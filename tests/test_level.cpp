@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "bdd/ops.hpp"
@@ -47,7 +48,11 @@ TEST(Collect, DedupesEqualIncompletelySpecifiedFunctions) {
   const Edge f = mgr.ite(mgr.var_edge(0), x2, mgr.and_(x2, x3));
   const CollectedLevel collected = collect_at_level(mgr, {f, x3}, 1);
   EXPECT_EQ(collected.specs.size(), 1u);
-  EXPECT_EQ(collected.pair_to_vertex.size(), 2u);
+  // Both boundary pairs were recorded, and both point at vertex 0.
+  const auto boundary_slots = std::count_if(
+      collected.slots.begin(), collected.slots.end(),
+      [](const LevelSlot& slot) { return slot.vertex == 0; });
+  EXPECT_EQ(boundary_slots, 2);
 }
 
 TEST(Collect, MaxSetSizeTruncates) {
