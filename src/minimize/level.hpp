@@ -46,7 +46,7 @@ struct LevelOptions {
   bool weight_by_distance = true;
 };
 
-/// Slot value of LevelSlot::vertex for pairs that are no graph vertex.
+/// LevelSlot::vertex of a pair that is no graph vertex.
 inline constexpr std::size_t kNoVertex = SIZE_MAX;
 
 /// One distinct (f, c) pair met by the collection walk.  Interior pairs

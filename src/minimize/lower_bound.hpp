@@ -7,6 +7,16 @@
 /// [f, p] and |constrain(f, p)| is a lower bound on the minimum cover
 /// size of [f, c].  Enumerating cubes of c and taking the maximum
 /// tightens the bound.
+///
+/// With a cube care set, constrain is the Shannon cofactor by the cube,
+/// which is the composition of its literal cofactors.  So the bound needs
+/// no cube BDDs and no constrain call per cube: one DFS over c, in
+/// for_each_cube's order (hi before lo), carries f cofactored by the
+/// literals on the path, and at each constant-1 leaf counts that cofactor.
+/// Each step is one cofactor(): O(1) when the carried function does not
+/// depend on the variable or is rooted at it, memoized under the cofactor
+/// cache tag otherwise.  The cost is at most one cofactor() call per
+/// literal of an examined cube plus one count_nodes per examined cube.
 #pragma once
 
 #include <cstddef>

@@ -63,13 +63,14 @@ void expect_matches_reference(Manager& mgr, Edge f, Edge c,
 }
 
 TEST(LowerBound, MatchesReferenceOnCorpus) {
+  Manager mgr(6);  // corpus instances span 2..6 variables
   for (int round = 0; round < 300; ++round) {
     const unsigned n = test::corpus_vars(round);
     const auto [f_tt, c_tt] = test::corpus_instance(n, round);
     if (c_tt == 0) continue;  // precondition c != 0
-    Manager mgr(n);
     expect_matches_reference(mgr, from_tt(mgr, f_tt, n), from_tt(mgr, c_tt, n),
                              "corpus round " + std::to_string(round));
+    mgr.garbage_collect();
   }
 }
 
@@ -78,8 +79,9 @@ TEST(LowerBound, MatchesReferenceOnWiderInstances) {
   for (int round = 0; round < 40; ++round) {
     const unsigned n = 8 + static_cast<unsigned>(round % 5);
     Manager mgr(n);
-    const IncSpec spec = workload::random_instance(
-        mgr, n, densities[(round / 5) % 5], 4100 + static_cast<std::uint64_t>(round));
+    const std::uint64_t seed = 4100 + static_cast<std::uint64_t>(round);
+    const IncSpec spec =
+        workload::random_instance(mgr, n, densities[(round / 5) % 5], seed);
     if (spec.c == kZero) continue;
     expect_matches_reference(mgr, spec.f, spec.c,
                              "wide round " + std::to_string(round));
@@ -93,7 +95,8 @@ TEST(LowerBound, MatchesReferenceWhenCareIsOne) {
     const Edge f = workload::random_function(mgr, 8, 0.5, seed);
     expect_matches_reference(mgr, f, kOne, "seed " + std::to_string(seed));
     // A care set of 1 has exactly one (empty) cube, and on it f is kept.
-    const LowerBoundResult lb = constrain_lower_bound(mgr, f, kOne, 1000, true);
+    const LowerBoundResult lb =
+        constrain_lower_bound(mgr, f, kOne, 1000, /*probe_largest_cube=*/true);
     EXPECT_EQ(lb.cubes_examined, 1u);
     EXPECT_EQ(lb.bound, Manager::is_const(f) ? 1u : count_nodes(mgr, f));
   }
@@ -110,8 +113,9 @@ TEST(LowerBound, MatchesReferenceUnderPermutedOrders) {
     std::iota(order.begin(), order.end(), 0u);
     std::shuffle(order.begin(), order.end(), rng);
     mgr.set_order(order);
-    const IncSpec spec = workload::random_instance(
-        mgr, kVars, 0.25 + 0.05 * (round % 6), 5200 + static_cast<std::uint64_t>(round));
+    const std::uint64_t seed = 5200 + static_cast<std::uint64_t>(round);
+    const IncSpec spec =
+        workload::random_instance(mgr, kVars, 0.25 + 0.05 * (round % 6), seed);
     if (spec.c == kZero) continue;
     const Bdd f(mgr, spec.f);
     const Bdd c(mgr, spec.c);
