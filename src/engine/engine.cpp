@@ -23,7 +23,6 @@
 #include "harness/csv.hpp"
 #include "harness/env.hpp"
 #include "minimize/lower_bound.hpp"
-#include "telemetry/histogram.hpp"
 #include "telemetry/trace.hpp"
 
 namespace bddmin::engine {
@@ -42,17 +41,12 @@ using Clock = std::chrono::steady_clock;
 /// zero when telemetry is off, so the whole busy/steal/sink bookkeeping
 /// folds away and only the plain event counters survive.
 [[nodiscard]] std::uint64_t stat_now_ns() {
-  if constexpr (telemetry::kHistogramsEnabled) {
+  if constexpr (telemetry::kCountersEnabled) {
     return now_ns();
   } else {
     return 0;
   }
 }
-
-/// Sample the run-queue backlog every this many pops per worker — cheap
-/// (a handful of relaxed loads) but frequent enough that the depth
-/// histogram tracks the drain curve of a thousands-of-jobs batch.
-constexpr std::uint64_t kDepthSampleEvery = 16;
 
 /// One worker's time/event accounting, single writer (the worker), read
 /// by run_batch after the join.  Padded like WorkerStatus so neighbours
@@ -64,23 +58,8 @@ struct alignas(64) WorkerStats {
   std::uint64_t jobs = 0;
   std::uint64_t steal_attempts = 0;
   std::uint64_t steals = 0;
-  std::uint64_t pops = 0;  ///< depth-sampler cadence counter
   std::uint64_t warm_jobs = 0;  ///< manager acquisitions that skipped reset()
   std::uint64_t cold_jobs = 0;  ///< manager acquisitions through reset()
-};
-
-/// The batch-local histogram set.  Workers record wait-free; run_batch
-/// snapshots after the join (deterministically quiescent) into
-/// BatchReport::metrics and merges the snapshots into the process-global
-/// bank so `bddmin_cli stats` sees them.  No-op objects when telemetry
-/// is compiled out.
-struct BatchInstruments {
-  telemetry::Histogram job_latency;
-  telemetry::Histogram job_steps;
-  telemetry::Histogram steal_search;
-  telemetry::Histogram queue_depth;
-  telemetry::Histogram shard_jobs;
-  telemetry::Histogram shard_cost;
 };
 
 /// Per-worker slot shared with the watchdog thread.  The worker publishes
@@ -177,7 +156,6 @@ struct WorkerContext {
   WorkerStats* stats = nullptr;            ///< utilization accounting
   FlightRecorder* flight = nullptr;        ///< this worker's event ring
   const std::string* flight_path = nullptr;///< dump destination ("" = stderr only)
-  BatchInstruments* instruments = nullptr; ///< batch-local histograms
   const std::vector<std::size_t>* to_run = nullptr;  ///< run list (job indices)
   const ShardPlan* plan = nullptr;  ///< shard ranges over *to_run
   /// True when mid-shard jobs may reuse a warm manager: sharding is on
@@ -538,7 +516,6 @@ void worker_loop(WorkStealingQueue& queue, std::span<const Job> jobs,
       // definition a failed steal search.
       ++stats.steal_attempts;
       stats.steal_ns += pop_ns;
-      ctx.instruments->steal_search.record(pop_ns);
       break;
     }
     const Shard& shard = ctx.plan->shards[shard_index];
@@ -546,17 +523,9 @@ void worker_loop(WorkStealingQueue& queue, std::span<const Job> jobs,
       ++stats.steal_attempts;
       ++stats.steals;
       stats.steal_ns += pop_ns;
-      ctx.instruments->steal_search.record(pop_ns);
       flight.record(FlightEventType::kSteal,
                     static_cast<std::uint32_t>((*ctx.to_run)[shard.first]), 0,
                     0);
-    }
-    if constexpr (telemetry::kHistogramsEnabled) {
-      if (++stats.pops % kDepthSampleEvery == 0) {
-        const std::size_t depth = queue.approx_depth();
-        ctx.instruments->queue_depth.record(depth);
-        telemetry::trace_counter("queue_depth", "engine", depth);
-      }
     }
     // Whether the *next* job in this shard may start warm: the previous
     // job must have completed cleanly first-attempt on this manager.
@@ -652,16 +621,6 @@ void worker_loop(WorkStealingQueue& queue, std::span<const Job> jobs,
         outcome.attempts = attempt;
         outcome.retry_reason = first_retry_reason;
         ++stats.jobs;
-        if constexpr (telemetry::kHistogramsEnabled) {
-          const auto latency_ns =
-              static_cast<std::uint64_t>(outcome.seconds * 1e9);
-          telemetry::histograms()
-              .job_latency(static_cast<unsigned>(outcome.status), attempt)
-              .record(latency_ns);
-          ctx.instruments->job_latency.record(latency_ns);
-          ctx.instruments->job_steps.record(
-              outcome.counters.value(telemetry::Counter::kGovernorSteps));
-        }
         if (outcome.status == JobStatus::kQuarantined) {
           // Black-box moment: capture what this worker was doing around
           // the quarantine while the ring still holds it.
@@ -881,17 +840,6 @@ BatchReport run_batch(std::span<const Job> jobs, const EngineOptions& opts) {
   for (std::size_t s = 0; s < plan.size(); ++s) {
     queue.push(s % threads, s);
   }
-  BatchInstruments instruments;
-  if constexpr (telemetry::kHistogramsEnabled) {
-    // Anchor the depth histogram with the fully seeded backlog so the
-    // drain curve has a defined starting point even for tiny batches.
-    instruments.queue_depth.record(plan.size());
-    telemetry::trace_counter("queue_depth", "engine", plan.size());
-    for (const Shard& s : plan.shards) {
-      instruments.shard_jobs.record(s.count);
-      instruments.shard_cost.record(s.cost);
-    }
-  }
   ResultSink sink(jobs.size());
   if (resume != nullptr) {
     const std::size_t n = std::min(jobs.size(), resume->completed.size());
@@ -989,7 +937,7 @@ BatchReport run_batch(std::span<const Job> jobs, const EngineOptions& opts) {
             &effective, &heuristics, fallback, w,
             effective.hang_timeout_seconds > 0.0 ? &wstatus[w] : nullptr,
             journal.get(), &wstats[w], &flights[w], &flight_path,
-            &instruments, &to_run, &plan, warm_capable};
+            &to_run, &plan, warm_capable};
         worker_loop(queue, jobs, sink, ctx);
         set_thread_flight_recorder(nullptr, 0, nullptr);
       });
@@ -1039,22 +987,10 @@ BatchReport run_batch(std::span<const Job> jobs, const EngineOptions& opts) {
     std::fflush(stderr);
   }
 
-  // Assemble the run's observability block: batch-local histogram
-  // snapshots (merged into the process-global bank for `stats`) and the
+  // Assemble the run's observability block: the shard-plan facts and the
   // per-worker utilization table.  Idle is the wall-time remainder, so
   // per worker busy + steal + sink + idle ≈ wall by construction.
   BatchMetrics& metrics = report.metrics;
-  metrics.job_latency_ns = instruments.job_latency.snapshot();
-  metrics.job_steps = instruments.job_steps.snapshot();
-  metrics.steal_search_ns = instruments.steal_search.snapshot();
-  metrics.queue_depth = instruments.queue_depth.snapshot();
-  metrics.shard_jobs = instruments.shard_jobs.snapshot();
-  metrics.shard_cost = instruments.shard_cost.snapshot();
-  telemetry::histograms().job_steps().merge(metrics.job_steps);
-  telemetry::histograms().steal_search_ns().merge(metrics.steal_search_ns);
-  telemetry::histograms().queue_depth().merge(metrics.queue_depth);
-  telemetry::histograms().shard_jobs().merge(metrics.shard_jobs);
-  telemetry::histograms().shard_cost().merge(metrics.shard_cost);
   metrics.shards = plan.size();
   metrics.shard_cost_budget = effective.shard_cost;
   metrics.workers.reserve(threads);

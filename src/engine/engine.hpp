@@ -86,7 +86,6 @@
 #include "engine/job.hpp"
 #include "minimize/registry.hpp"
 #include "telemetry/counters.hpp"
-#include "telemetry/histogram.hpp"
 #include "telemetry/profile.hpp"
 
 namespace bddmin::engine {
@@ -152,7 +151,7 @@ struct EngineOptions {
   /// Estimated-cost budget per shard (engine/shard.hpp cost units).  0
   /// disables coalescing — every job is its own shard and the engine
   /// behaves exactly as before sharding existed (the library default;
-  /// the CLI defaults to shard::kDefaultShardCost / BDDMIN_SHARD_COST).
+  /// the CLI defaults to kDefaultShardCost, overridden by --shard-cost).
   /// Packing is deterministic, so any non-zero budget preserves the
   /// default-CSV byte-identity across thread counts.
   std::uint64_t shard_cost = 0;
@@ -276,23 +275,17 @@ struct WorkerUtilization {
   std::uint64_t steals = 0;         ///< sweeps that yielded an item
 };
 
-/// Distribution-level observability for one batch run: latency/steal/
-/// queue-depth histograms (also merged into the process-global bank for
-/// `bddmin_cli stats`) and the per-worker utilization table.  All
-/// wall-clock derived, hence outside the determinism contract; empty /
-/// zero when telemetry is compiled out.
+/// Scheduler observability for one batch run: the per-worker
+/// utilization table (wall-clock derived, hence outside the determinism
+/// contract; zero seconds when telemetry is compiled out) and the shard
+/// facts.  perfbench's engine layer reads it; per-job latency comes from
+/// JobOutcome::seconds and the timeline from the Chrome-trace spans.
 struct BatchMetrics {
-  telemetry::HistogramSnapshot job_latency_ns;   ///< final outcomes only
-  telemetry::HistogramSnapshot job_steps;        ///< governor steps per job
-  telemetry::HistogramSnapshot steal_search_ns;  ///< per own-deque miss
-  telemetry::HistogramSnapshot queue_depth;      ///< sampled backlog
-  telemetry::HistogramSnapshot shard_jobs;       ///< jobs per shard
-  telemetry::HistogramSnapshot shard_cost;       ///< estimated cost per shard
   std::vector<WorkerUtilization> workers;
   std::uint64_t steal_attempts = 0;  ///< totals over workers
   std::uint64_t steals = 0;
   // Shard-plan facts.  Deterministic (pure function of the submission
-  // stream and shard_cost), unlike the wall-clock histograms above.
+  // stream and shard_cost), unlike the utilization seconds above.
   std::uint64_t shards = 0;            ///< shards dispatched
   std::uint64_t shard_cost_budget = 0; ///< effective EngineOptions::shard_cost
   std::uint64_t warm_jobs = 0;  ///< jobs that reused a warm manager

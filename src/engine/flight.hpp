@@ -1,14 +1,14 @@
 /// \file flight.hpp
 /// \brief Per-worker flight recorder: a fixed ring of scheduler events.
 ///
-/// Counters say how often things happened and histograms say how they
-/// were distributed, but when a job is quarantined or a failpoint kills
-/// the process, the question is *what was this worker doing just now* —
-/// and by then the trace (if any) is unwritten and the window for
-/// attaching a debugger is gone.  The flight recorder answers it the way
-/// avionics do: each worker keeps the last kCapacity scheduler events
-/// (job start/finish, steal, retry, quarantine, failpoint fire) in a
-/// fixed ring it alone writes, and the ring is dumped — to stderr, and
+/// Counters say how often things happened and the utilization table
+/// says where each worker's time went, but when a job is quarantined or
+/// a failpoint kills the process, the question is *what was this worker
+/// doing just now* — and by then the trace (if any) is unwritten and the
+/// window for attaching a debugger is gone.  The flight recorder answers
+/// it the way avionics do: each worker keeps the last kCapacity scheduler
+/// events (job start/finish, steal, retry, quarantine, failpoint fire) in
+/// a fixed ring it alone writes, and the ring is dumped — to stderr, and
 /// next to the journal when one is configured — when:
 ///
 ///  * a job's final outcome is quarantine (the worker dumps its own ring),

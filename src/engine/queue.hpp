@@ -18,15 +18,10 @@
 /// own or steal — dirties a deque's mutex word; without the padding two
 /// adjacent workers' hot head/tail state would ping-pong one shared line.
 ///
-/// Observability: each deque maintains a relaxed-atomic mirror of its
-/// size, updated inside the locked sections, so `approx_depth()` can
-/// sample the total backlog without touching any lock (the sum across
-/// deques may be momentarily torn mid-pop — fine for a monitoring
-/// signal).  `try_pop` optionally reports how the item was obtained
+/// Observability: `try_pop` optionally reports how the item was obtained
 /// (own deque vs. stolen) so the engine can account steal traffic.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <deque>
 #include <mutex>
@@ -59,7 +54,6 @@ class WorkStealingQueue {
     Deque& d = deques_[worker % deques_.size()];
     const std::lock_guard<std::mutex> lock(d.mu);
     d.items.push_back(item);
-    d.size.store(d.items.size(), std::memory_order_relaxed);
   }
 
   /// Pop the next item for \p worker: front of its own deque, else steal
@@ -77,7 +71,6 @@ class WorkStealingQueue {
       if (!d.items.empty()) {
         *out = d.items.front();
         d.items.pop_front();
-        d.size.store(d.items.size(), std::memory_order_relaxed);
         if (outcome != nullptr) outcome->stolen = false;
         return true;
       }
@@ -88,7 +81,6 @@ class WorkStealingQueue {
       if (!d.items.empty()) {
         *out = d.items.back();
         d.items.pop_back();
-        d.size.store(d.items.size(), std::memory_order_relaxed);
         telemetry::trace_instant("steal", "engine");
         if (outcome != nullptr) outcome->stolen = true;
         return true;
@@ -97,27 +89,12 @@ class WorkStealingQueue {
     return false;
   }
 
-  /// Approximate total backlog across all deques, lock-free.  The value
-  /// is a sum of per-deque relaxed snapshots, so concurrent pops can
-  /// skew it by a few items — use for sampling, never for termination
-  /// (try_pop's locked sweep is the authoritative "drained" signal).
-  [[nodiscard]] std::size_t approx_depth() const noexcept {
-    std::size_t total = 0;
-    for (const Deque& d : deques_) {
-      total += d.size.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-
  private:
   /// One worker's deque and its lock, padded to cache-line granularity so
   /// neighbouring workers never contend on the same line (see file docs).
   struct alignas(64) Deque {
     std::mutex mu;
     std::deque<std::size_t> items BDDMIN_GUARDED_BY(mu);
-    /// Relaxed mirror of items.size(); written only under mu, read
-    /// lock-free by approx_depth().
-    std::atomic<std::size_t> size{0};
   };
 
   std::vector<Deque> deques_;

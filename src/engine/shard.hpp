@@ -1,13 +1,12 @@
 /// \file shard.hpp
 /// \brief Deterministic job-size-aware shard packing for the batch engine.
 ///
-/// BENCH_batch.json's flat scaling curve (ROADMAP item 1) is a
-/// granularity problem: the harvested Table-3 jobs run ~300µs at p50,
-/// so the per-job fixed costs — Manager::reset(), a stone-cold computed
-/// cache, decode allocations, one fsync per journal append, sink/CSV
-/// bookkeeping — rival the minimization itself, and the work-stealing
-/// deque amplifies them by scheduling every one of those tiny jobs
-/// individually.  This header packs the submission stream into
+/// Small jobs make the batch engine a granularity problem: the harvested
+/// Table-3 jobs run ~300µs at p50, so the per-job fixed costs —
+/// Manager::reset(), a stone-cold computed cache, decode allocations,
+/// one fsync per journal append, sink/CSV bookkeeping — rival the
+/// minimization itself, and the work-stealing deque amplifies them by
+/// scheduling every one of those tiny jobs individually.  This header packs the submission stream into
 /// **shards**: consecutive runs of jobs whose *estimated* cost adds up
 /// to a configurable budget.  The deque then dispatches shard indices,
 /// amortizing one scheduling decision (and, in the engine, one manager

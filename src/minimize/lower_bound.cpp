@@ -21,12 +21,21 @@ struct CofactorWalk {
   std::size_t max_cubes;
   LowerBoundResult& result;
   std::size_t visited = 0;
+  Edge last_counted = kOne;  ///< g at the last leaf that paid count_nodes
 
   /// Returns false once the cube budget is spent.  Precondition: c != 0.
   bool walk(Edge c, Edge g) {
     if (c == kOne) {
       ++visited;
-      result.bound = std::max(result.bound, count_nodes(mgr, g));
+      // Most leaves need no count: a constant cofactor has one node, and
+      // a cofactor on the same node as the last counted one (g or its
+      // complement) has the same count, already in the bound.
+      if (Manager::is_const(g)) {
+        result.bound = std::max<std::size_t>(result.bound, 1);
+      } else if (g.index() != last_counted.index()) {
+        last_counted = g;
+        result.bound = std::max(result.bound, count_nodes(mgr, g));
+      }
       return max_cubes == 0 || visited < max_cubes;
     }
     const std::uint32_t v = mgr.var_of(c);

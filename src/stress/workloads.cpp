@@ -2,10 +2,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <iterator>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -26,7 +24,6 @@
 #include "minimize/sibling.hpp"
 #include "stress/runner.hpp"
 #include "telemetry/counters.hpp"
-#include "telemetry/histogram.hpp"
 #include "telemetry/trace.hpp"
 
 namespace bddmin::stress {
@@ -445,75 +442,6 @@ void run_trace_instant(StressContext& ctx) {
   ctx.note_u64(ctx.pool().size());
 }
 
-/// Record seeded values into the process-global histogram bank from
-/// every thread (wait-free fetch_adds TSan watches), then scrape the
-/// exposition mid-run and check the family invariants: `_bucket` series
-/// cumulative-monotone, the `+Inf` bound equal to `_count`.  The scraped
-/// totals are cross-thread and wall-dependent, so only the seeded local
-/// values are digested — the same split run_counter_scrape makes.
-void run_histogram_scrape(StressContext& ctx) {
-  StepRng& rng = ctx.rng();
-  std::uint64_t local_sum = 0;
-  for (int i = 0; i < 8; ++i) {
-    const std::uint64_t v = rng.next() >> (rng.below(40) + 8);
-    telemetry::histograms().queue_depth().record(v);
-    local_sum += v;
-    // The bucket arithmetic is pure; pin its contract on seeded values.
-    const std::size_t bucket = telemetry::histogram_bucket_index(v);
-    if (telemetry::histogram_bucket_upper(bucket) < v) {
-      ctx.scratch = "bucket upper bound below the recorded value";
-      return;
-    }
-  }
-  const std::string text =
-      telemetry::histogram_prometheus_text(telemetry::histograms());
-  if (text.find("bddmin_queue_depth_bucket") == std::string::npos) {
-    ctx.scratch = "exposition lost the queue_depth family";
-    return;
-  }
-  // Family invariants over every series in the scrape: cumulative
-  // bucket counts never decrease, and each +Inf bucket equals the
-  // family's _count sample that follows it.
-  std::uint64_t cumulative = 0;
-  std::uint64_t inf_value = 0;
-  bool in_series = false;
-  std::istringstream lines(text);
-  std::string line;
-  std::string prev_labels;
-  while (std::getline(lines, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    const std::size_t space = line.rfind(' ');
-    if (space == std::string::npos) continue;
-    const std::string key = line.substr(0, space);
-    const std::uint64_t value = std::strtoull(line.c_str() + space + 1,
-                                              nullptr, 10);
-    const std::size_t bucket_pos = key.find("_bucket{");
-    if (bucket_pos != std::string::npos) {
-      // New series (family+labels minus the le pair) restarts the
-      // cumulative check.
-      const std::size_t le = key.find("le=\"");
-      const std::string labels = key.substr(0, le);
-      if (labels != prev_labels) {
-        cumulative = 0;
-        prev_labels = labels;
-      }
-      if (value < cumulative) {
-        ctx.scratch = "cumulative bucket count decreased in: " + line;
-        return;
-      }
-      cumulative = value;
-      in_series = key.find("le=\"+Inf\"") == std::string::npos;
-      if (!in_series) inf_value = value;
-    } else if (key.find("_count") != std::string::npos && !in_series) {
-      if (value != inf_value) {
-        ctx.scratch = "+Inf bucket disagrees with _count in: " + line;
-        return;
-      }
-    }
-  }
-  ctx.note_u64(local_sum);  // seeded, thread-pure — safe to digest
-}
-
 // ---- Fault injection ----------------------------------------------------
 
 /// Corrupt the thread's own manager with one of the PR-1 mutation classes;
@@ -771,7 +699,6 @@ StressFsm make_telemetry() {
       {{"build-ops", run_build_ops, inv_pool_audit, 2.0},
        {"counter-delta", run_counter_delta, inv_scratch, 2.0},
        {"counter-scrape", run_counter_scrape, inv_scratch, 2.0},
-       {"histogram-scrape", run_histogram_scrape, inv_scratch, 2.0},
        {"trace-instant", run_trace_instant, inv_pool_audit, 1.0},
        {"audit", run_audit_deep, inv_scratch, 1.0}});
 }
@@ -798,7 +725,6 @@ StressFsm make_mixed() {
   b.state("timeout-storm", run_timeout_storm, inv_scratch);
   b.state("counter-delta", run_counter_delta, inv_scratch);
   b.state("counter-scrape", run_counter_scrape, inv_scratch);
-  b.state("histogram-scrape", run_histogram_scrape, inv_scratch);
   b.state("trace-instant", run_trace_instant, inv_pool_audit);
   b.start("build-ops");
   return b.build();

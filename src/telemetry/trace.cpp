@@ -25,7 +25,6 @@ struct TraceEvent {
   char ph = 'X';
   std::uint64_t ts_ns = 0;   // relative to trace start
   std::uint64_t dur_ns = 0;  // X events only
-  std::uint64_t value = 0;   // C events only
 };
 
 struct OpenSpan {
@@ -235,17 +234,7 @@ std::string Tracer::stop() {
       json_escape(&body, ev.cat);
       body += "\",\"name\":\"";
       json_escape(&body, ev.name);
-      body += '"';
-      if (ev.ph == 'C') {
-        // Chrome plots each args key as a series; one key named after
-        // the counter keeps the track legend readable.
-        body += ",\"args\":{\"";
-        json_escape(&body, ev.name);
-        body += "\":";
-        body += std::to_string(ev.value);
-        body += '}';
-      }
-      body += '}';
+      body += "\"}";
       emit(body);
     }
     log->events.clear();
@@ -304,18 +293,6 @@ void Tracer::instant(std::string name, const char* cat) {
   ev.cat = cat;
   ev.ph = 'i';
   ev.ts_ns = impl_->now_ns();
-  log->events.push_back(std::move(ev));
-}
-
-void Tracer::counter(std::string name, const char* cat, std::uint64_t value) {
-  const auto log = impl_->log_for_this_thread();
-  const std::lock_guard<std::mutex> lock(log->mu);
-  TraceEvent ev;
-  ev.name = std::move(name);
-  ev.cat = cat;
-  ev.ph = 'C';
-  ev.ts_ns = impl_->now_ns();
-  ev.value = value;
   log->events.push_back(std::move(ev));
 }
 
@@ -514,21 +491,6 @@ std::string validate_trace(const std::string& json) {
         return "X event missing dur";
       }
       per_tid[tid->number].push_back({ts->number, dur->number, name->string});
-    } else if (ph->string == "C") {
-      const JsonValue* ts = field("ts");
-      const JsonValue* args = field("args");
-      if (ts == nullptr || ts->kind != JsonValue::Kind::kNumber) {
-        return "C event missing ts";
-      }
-      if (args == nullptr || args->kind != JsonValue::Kind::kObject ||
-          args->object.empty()) {
-        return "C event missing args";
-      }
-      for (const auto& [key, v] : args->object) {
-        if (v.kind != JsonValue::Kind::kNumber) {
-          return "C event arg \"" + key + "\" is not numeric";
-        }
-      }
     } else if (ph->string != "i" && ph->string != "M") {
       return "unexpected ph \"" + ph->string + "\"";
     }

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <atomic>
-#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -58,12 +57,10 @@ class Tracer {
   /// No-op when inactive.
   static void set_thread_name(const std::string& name);
 
-  // Event recording (call through TraceScope / trace_instant /
-  // trace_counter).
+  // Event recording (call through TraceScope / trace_instant).
   void begin(std::string name, const char* cat);
   void end();
   void instant(std::string name, const char* cat);
-  void counter(std::string name, const char* cat, std::uint64_t value);
 
  private:
   Tracer() = default;
@@ -101,14 +98,6 @@ class TraceScope {
 /// Zero-duration instant event (e.g. a work-steal).
 inline void trace_instant(const char* name, const char* cat) {
   if (Tracer* t = Tracer::active()) t->instant(name, cat);
-}
-
-/// Counter ("C") sample: Chrome renders these as a stacked area chart on
-/// the emitting thread's track (e.g. the sampled run-queue depth).  The
-/// value lands in `args` under the event name.
-inline void trace_counter(const char* name, const char* cat,
-                          std::uint64_t value) {
-  if (Tracer* t = Tracer::active()) t->counter(name, cat, value);
 }
 
 /// Validate Chrome trace JSON: parseable, a traceEvents array of

@@ -18,7 +18,7 @@
 #include "bdd/truth_table.hpp"
 #include "engine/queue.hpp"
 #include "minimize/sibling.hpp"
-#include "telemetry/histogram.hpp"
+#include "telemetry/counters.hpp"
 #include "workload/instances.hpp"
 
 namespace bddmin::engine {
@@ -331,7 +331,7 @@ TEST(BatchEngine, PooledManagersKeepCsvByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(BatchMetricsTable, UtilizationTotalsMatchWallTimePerWorker) {
-  if (!telemetry::kHistogramsEnabled) GTEST_SKIP() << "telemetry compiled out";
+  if (!telemetry::kCountersEnabled) GTEST_SKIP() << "telemetry compiled out";
   const std::vector<Job> jobs = mixed_jobs();
   EngineOptions opts;
   opts.num_threads = 4;
@@ -353,16 +353,10 @@ TEST(BatchMetricsTable, UtilizationTotalsMatchWallTimePerWorker) {
   }
   // Every non-duplicate job was finished by exactly one worker.
   EXPECT_EQ(total_jobs, report.outcomes.size() - report.duplicate_jobs);
-  EXPECT_EQ(report.metrics.job_latency_ns.count, total_jobs);
-  EXPECT_EQ(report.metrics.job_steps.count, total_jobs);
-  // The seeded-backlog anchor guarantees at least one depth sample.
-  EXPECT_GE(report.metrics.queue_depth.count, 1u);
-  EXPECT_GE(report.metrics.job_latency_ns.quantile(0.99),
-            report.metrics.job_latency_ns.quantile(0.50));
 }
 
 TEST(BatchMetricsTable, SingleThreadNeverSteals) {
-  if (!telemetry::kHistogramsEnabled) GTEST_SKIP() << "telemetry compiled out";
+  if (!telemetry::kCountersEnabled) GTEST_SKIP() << "telemetry compiled out";
   EngineOptions opts;
   opts.num_threads = 1;  // the default is one worker per core
   const BatchReport report = run_batch(random_jobs(4, 6, 0.4, 777), opts);

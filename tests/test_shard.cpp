@@ -172,6 +172,19 @@ TEST(ShardEngine, DefaultCsvIsByteIdenticalShardOnVsOff) {
   EXPECT_GT(sharded.metrics.warm_jobs, 0u);  // reuse actually happened
   EXPECT_LT(sharded.metrics.shards, cold.metrics.shards);
   EXPECT_EQ(engine::report_csv(sharded), engine::report_csv(cold));
+  // Warm reuse must pay off in work, not only in scheduling: a warm
+  // computed cache misses less, so the summed governor steps (one per
+  // memo miss) fall.  Deterministic, unlike a wall-clock comparison.
+  if (telemetry::kCountersEnabled) {
+    const auto total_steps = [](const engine::BatchReport& report) {
+      std::uint64_t steps = 0;
+      for (const engine::JobOutcome& o : report.outcomes) {
+        steps += o.counters.value(telemetry::Counter::kGovernorSteps);
+      }
+      return steps;
+    };
+    EXPECT_LT(total_steps(sharded), total_steps(cold));
+  }
 }
 
 TEST(ShardEngine, QuotaConfiguredForcesEveryJobColdAndStillMatches) {

@@ -19,7 +19,6 @@
 #include "engine/engine.hpp"
 #include "minimize/registry.hpp"
 #include "minimize/sibling.hpp"
-#include "telemetry/histogram.hpp"
 #include "telemetry/profile.hpp"
 #include "telemetry/trace.hpp"
 #include "workload/instances.hpp"
@@ -332,197 +331,6 @@ TEST(Prometheus, ExpositionListsEveryFamily) {
         "bddmin_governor_steps_total", "# HELP", "# TYPE"}) {
     EXPECT_NE(text.find(needle), std::string::npos) << needle;
   }
-}
-
-// ---- Histogram layer ----------------------------------------------------
-
-TEST(Histogram, BucketBoundariesAreExactBelowSubAndMonotoneAbove) {
-  // Values below kHistogramSub land in exact buckets: index == value,
-  // upper bound == value.
-  for (std::uint64_t v = 0; v < kHistogramSub; ++v) {
-    EXPECT_EQ(histogram_bucket_index(v), v);
-    EXPECT_EQ(histogram_bucket_upper(v), v);
-  }
-  // First log-linear bucket: [16, 16] (one sub-bucket per value still).
-  EXPECT_EQ(histogram_bucket_index(16), 16u);
-  EXPECT_EQ(histogram_bucket_upper(16), 16u);
-  // A power-of-two boundary: 2^10 starts a fresh octave whose 16
-  // sub-buckets are 64 wide.
-  const std::size_t k1024 = histogram_bucket_index(1024);
-  EXPECT_EQ(histogram_bucket_index(1023) + 1, k1024);
-  EXPECT_EQ(histogram_bucket_upper(k1024), 1024u + 63u);
-  EXPECT_EQ(histogram_bucket_index(1024 + 63), k1024);
-  EXPECT_EQ(histogram_bucket_index(1024 + 64), k1024 + 1);
-  // Every bucket's upper bound maps back to the bucket, the next value
-  // maps one past it, and the bounds are strictly increasing.
-  for (std::size_t i = 0; i + 1 < kNumHistogramBuckets; ++i) {
-    const std::uint64_t upper = histogram_bucket_upper(i);
-    EXPECT_EQ(histogram_bucket_index(upper), i) << "bucket " << i;
-    EXPECT_EQ(histogram_bucket_index(upper + 1), i + 1) << "bucket " << i;
-    EXPECT_LT(upper, histogram_bucket_upper(i + 1)) << "bucket " << i;
-  }
-  // The last bucket absorbs everything up to UINT64_MAX exactly.
-  EXPECT_EQ(histogram_bucket_upper(kNumHistogramBuckets - 1), UINT64_MAX);
-  EXPECT_EQ(histogram_bucket_index(UINT64_MAX), kNumHistogramBuckets - 1);
-  // Relative error bound: the bucket width never exceeds value / kSub.
-  for (const std::uint64_t v : {100ull, 12345ull, 1ull << 33, (1ull << 52) + 9}) {
-    const std::size_t i = histogram_bucket_index(v);
-    const std::uint64_t lower = i == 0 ? 0 : histogram_bucket_upper(i - 1) + 1;
-    EXPECT_LE(histogram_bucket_upper(i) - lower + 1, v / kHistogramSub + 1)
-        << v;
-  }
-}
-
-TEST(Histogram, QuantilesAreNearestRankOverBucketBounds) {
-  if (!kHistogramsEnabled) GTEST_SKIP() << "telemetry compiled out";
-  Histogram h;
-  // Values < 16 are in exact buckets, so quantiles are exact order
-  // statistics: {1, 2, 3, 4}.
-  for (const std::uint64_t v : {1, 2, 3, 4}) h.record(v);
-  const HistogramSnapshot s = h.snapshot();
-  EXPECT_EQ(s.count, 4u);
-  EXPECT_EQ(s.sum, 10u);
-  EXPECT_EQ(s.quantile(0.0), 1u);    // rank clamps to 1
-  EXPECT_EQ(s.quantile(0.50), 2u);   // ceil(0.5 * 4) = rank 2
-  EXPECT_EQ(s.quantile(0.51), 3u);   // ceil -> rank 3
-  EXPECT_EQ(s.quantile(0.75), 3u);
-  EXPECT_EQ(s.quantile(1.0), 4u);
-  EXPECT_EQ(s.max_bound(), 4u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_EQ(HistogramSnapshot{}.quantile(0.5), 0u);  // empty -> 0
-}
-
-TEST(Histogram, RecordMergeQuantilesDeterministicAcrossInterleavings) {
-  if (!kHistogramsEnabled) GTEST_SKIP() << "telemetry compiled out";
-  // One fixed multiset, recorded under 1-, 2- and 8-thread
-  // interleavings; snapshots and quantiles must be identical.
-  std::vector<std::uint64_t> values;
-  std::uint64_t x = 0x9e3779b97f4a7c15ull;
-  for (int i = 0; i < 4096; ++i) {
-    x ^= x << 13; x ^= x >> 7; x ^= x << 17;  // xorshift, fixed seed
-    values.push_back(x >> (x % 48));
-  }
-  HistogramSnapshot snapshots[3];
-  const unsigned counts[3] = {1, 2, 8};
-  for (int run = 0; run < 3; ++run) {
-    Histogram h;
-    const unsigned n = counts[run];
-    std::vector<std::thread> threads;
-    for (unsigned t = 0; t < n; ++t) {
-      threads.emplace_back([&h, &values, t, n] {
-        for (std::size_t i = t; i < values.size(); i += n) {
-          h.record(values[i]);
-        }
-      });
-    }
-    for (std::thread& th : threads) th.join();
-    snapshots[run] = h.snapshot();
-  }
-  EXPECT_EQ(snapshots[0], snapshots[1]);
-  EXPECT_EQ(snapshots[0], snapshots[2]);
-  for (const double q : {0.5, 0.9, 0.99, 1.0}) {
-    EXPECT_EQ(snapshots[0].quantile(q), snapshots[2].quantile(q)) << q;
-  }
-  // merge() is lossless: two half-histograms fold into the whole.
-  Histogram left;
-  Histogram right;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    (i % 2 ? left : right).record(values[i]);
-  }
-  Histogram whole;
-  whole.merge(left.snapshot());
-  whole.merge(right.snapshot());
-  EXPECT_EQ(whole.snapshot(), snapshots[0]);
-}
-
-TEST(Histogram, PrometheusFamilyRendering) {
-  if (!kHistogramsEnabled) GTEST_SKIP() << "telemetry compiled out";
-  Histogram h;
-  for (const std::uint64_t v : {3, 3, 5, 900}) h.record(v);
-  std::string out;
-  append_histogram_series(&out, "t_ns", "k=\"v\"", h.snapshot());
-  // Cumulative counts at the non-empty boundaries, then +Inf == count.
-  EXPECT_NE(out.find("t_ns_bucket{k=\"v\",le=\"3\"} 2"), std::string::npos)
-      << out;
-  EXPECT_NE(out.find("t_ns_bucket{k=\"v\",le=\"5\"} 3"), std::string::npos);
-  const std::uint64_t b900 =
-      histogram_bucket_upper(histogram_bucket_index(900));
-  EXPECT_NE(out.find("t_ns_bucket{k=\"v\",le=\"" + std::to_string(b900) +
-                     "\"} 4"),
-            std::string::npos);
-  EXPECT_NE(out.find("t_ns_bucket{k=\"v\",le=\"+Inf\"} 4"),
-            std::string::npos);
-  EXPECT_NE(out.find("t_ns_sum{k=\"v\"} 911"), std::string::npos);
-  EXPECT_NE(out.find("t_ns_count{k=\"v\"} 4"), std::string::npos);
-  // The global exposition names every well-known family even when empty.
-  GlobalHistograms bank;
-  const std::string families = histogram_prometheus_text(bank);
-  for (const char* needle :
-       {"# TYPE bddmin_job_latency_ns histogram", "bddmin_job_steps_bucket",
-        "bddmin_steal_search_ns_count", "bddmin_queue_depth_sum"}) {
-    EXPECT_NE(families.find(needle), std::string::npos) << needle;
-  }
-  // Labelled latency series appear once recorded into.
-  bank.job_latency(0, 1).record(42);
-  bank.job_latency(5, 7).record(7);  // outcome 5, attempt clamps to "3+"
-  const std::string after = histogram_prometheus_text(bank);
-  const std::uint64_t b42 = histogram_bucket_upper(histogram_bucket_index(42));
-  EXPECT_NE(after.find("bddmin_job_latency_ns_bucket{status=\"ok\","
-                       "attempt=\"1\",le=\"" +
-                       std::to_string(b42) + "\"} 1"),
-            std::string::npos)
-      << after;
-  EXPECT_NE(after.find("status=\"quarantined\",attempt=\"3+\""),
-            std::string::npos);
-}
-
-TEST(Histogram, CompileOutIsANoOp) {
-  // Meaningful in the -DBDDMIN_TELEMETRY=OFF build: record() must keep
-  // the snapshot all-zero.  In the ON build it checks the opposite.
-  Histogram h;
-  h.record(7);
-  h.record(1 << 20);
-  const HistogramSnapshot s = h.snapshot();
-  if (kHistogramsEnabled) {
-    EXPECT_EQ(s.count, 2u);
-  } else {
-    EXPECT_EQ(s.count, 0u);
-    EXPECT_EQ(s.sum, 0u);
-    EXPECT_EQ(s, HistogramSnapshot{});
-  }
-  // The bucket arithmetic stays available either way (used by tools and
-  // tests); spot-check one value.
-  EXPECT_EQ(histogram_bucket_index(3), 3u);
-}
-
-TEST(Histogram, OutcomeLabelTableMatchesEngineStatusNames) {
-  // telemetry keeps its own copy of the outcome labels so the
-  // dependency stays one-way; this is the pin that keeps them in sync.
-  for (std::size_t s = 0; s < kNumOutcomeClasses; ++s) {
-    EXPECT_STREQ(kOutcomeLabels[s],
-                 engine::job_status_name(static_cast<engine::JobStatus>(s)))
-        << "outcome class " << s;
-  }
-}
-
-TEST(Global, ProcessWideHistogramsAccumulateBatchLatencies) {
-  if (!kHistogramsEnabled) GTEST_SKIP() << "telemetry compiled out";
-  histograms().reset();
-  const std::vector<engine::Job> jobs = engine::random_jobs(6, 6, 0.3, 11);
-  engine::EngineOptions opts;
-  opts.num_threads = 2;
-  const engine::BatchReport report = engine::run_batch(jobs, opts);
-  // Every final outcome records one latency sample into the global bank
-  // (all ok on this tiny clean batch) and one governor-steps sample.
-  HistogramSnapshot latency;
-  for (std::size_t a = 0; a < kNumAttemptClasses; ++a) {
-    latency += histograms().job_latency_at(0, a).snapshot();
-  }
-  EXPECT_EQ(latency.count, report.outcomes.size() - report.duplicate_jobs);
-  EXPECT_EQ(histograms().job_steps().snapshot().count, latency.count);
-  // The per-run metrics block carries the same distributions.
-  EXPECT_EQ(report.metrics.job_latency_ns.count, latency.count);
-  EXPECT_GE(report.metrics.queue_depth.count, 1u);  // seeded-backlog anchor
 }
 
 TEST(Global, ProcessWideCountersAccumulateBatchWork) {

@@ -37,8 +37,8 @@
 ///                  [--fallback-heuristic NAME] [--csv PATH] [--timings]
 ///                  [--max-retries N] [--backoff-ms N] [--hang-timeout-ms N]
 ///                  [--attempts] [--journal PATH] [--resume]
-///                  [--progress] [--metrics PATH] [--shard-cost C]
-///                  [--no-shard] [--journal-group-commit]
+///                  [--progress] [--shard-cost C] [--no-shard]
+///                  [--journal-group-commit]
 ///     Shard a set of minimization jobs across a worker pool (each worker
 ///     owns a private manager) and print the per-status summary plus a
 ///     submission-order CSV report.  Jobs come from the PLA's output
@@ -63,23 +63,20 @@
 ///     self-overwriting status line on stderr (done/total, ok/fail/
 ///     quarantined, jobs/s, ETA), refreshed at most every 500 ms; it is
 ///     suppressed when stderr is not a terminal (BDDMIN_PROGRESS=1
-///     forces it on) and never touches stdout or the CSV.  --metrics
-///     PATH writes the run's scheduler metrics — p50/p90/p99 job
-///     latency, per-worker busy/steal/sink/idle decomposition, steal
-///     success rate, sampled queue depth — as JSON for
-///     tools/scaling_report.py.
+///     forces it on) and never touches stdout or the CSV.  Where the
+///     engine's time went is answered by BDDMIN_TRACE=<file> (Chrome
+///     trace spans per worker) and by perfbench's engine layer.
 ///     Sharding (docs/OBSERVABILITY.md): jobs are packed into shards by
 ///     a deterministic cost model and the worker deques dispatch whole
 ///     shards; within a shard the pooled manager is reused warm (no
 ///     reset) across consecutive same-width jobs, so the computed cache
 ///     carries over.  The CLI defaults the shard budget to
-///     engine::kDefaultShardCost, overridable with --shard-cost C or
-///     BDDMIN_SHARD_COST; --no-shard (or BDDMIN_NO_SHARD=1) restores
-///     per-job scheduling.  The default CSV is byte-identical either
-///     way.  --journal-group-commit (or BDDMIN_JOURNAL_GROUP_COMMIT=1)
-///     batches the journal's completion records per shard with one
-///     fsync per flush; a crash re-runs at most the unflushed tail of
-///     one shard per worker on --resume.
+///     engine::kDefaultShardCost, overridable with --shard-cost C;
+///     --no-shard restores per-job scheduling.  The default CSV is
+///     byte-identical either way.  --journal-group-commit batches the
+///     journal's completion records per shard with one fsync per flush;
+///     a crash re-runs at most the unflushed tail of one shard per
+///     worker on --resume.
 ///
 /// bddmin_cli failpoints [--describe]
 ///     List the registered fault-injection points (one name per line, for
@@ -91,9 +88,7 @@
 ///     Run the same batch as `batch` (all flags accepted) and print the
 ///     process-wide telemetry counters as Prometheus text exposition —
 ///     unique-table inserts/hits, computed-cache hits/misses per op
-///     class, GC work, sift swaps and governor steps — followed by the
-///     histogram families (job latency by outcome/attempt, governor
-///     steps, steal-search latency, queue depth).  Set
+///     class, GC work, sift swaps and governor steps.  Set
 ///     BDDMIN_TRACE=<file> to also capture a Chrome trace of the run.
 ///
 /// bddmin_cli stress [--workload NAME] [--seed S] [--threads T]
@@ -143,14 +138,12 @@
 #include "harness/csv.hpp"
 #include "harness/env.hpp"
 #include "harness/intercept.hpp"
-#include "harness/json.hpp"
 #include "harness/render.hpp"
 #include "minimize/registry.hpp"
 #include "pla/pla.hpp"
 #include "stress/runner.hpp"
 #include "stress/workloads.hpp"
 #include "telemetry/counters.hpp"
-#include "telemetry/histogram.hpp"
 
 namespace {
 
@@ -453,105 +446,14 @@ engine::EngineOptions batch_options(int argc, char** argv) {
   opts.hang_timeout_seconds =
       int_flag(argc, argv, "--hang-timeout-ms", 0) / 1000.0;
   // Sharding defaults ON at the CLI (the library default is off so
-  // embedders opt in); precedence is flag > environment > default.
-  opts.shard_cost =
-      harness::env_u64("BDDMIN_SHARD_COST", engine::kDefaultShardCost);
+  // embedders opt in); --no-shard wins over --shard-cost.
+  opts.shard_cost = engine::kDefaultShardCost;
   if (const char* raw = flag_value(argc, argv, "--shard-cost")) {
     opts.shard_cost = std::strtoull(raw, nullptr, 10);
   }
-  if (has_flag(argc, argv, "--no-shard") ||
-      harness::env_u64("BDDMIN_NO_SHARD", 0) != 0) {
-    opts.shard_cost = 0;
-  }
-  opts.journal_group_commit =
-      has_flag(argc, argv, "--journal-group-commit") ||
-      harness::env_u64("BDDMIN_JOURNAL_GROUP_COMMIT", 0) != 0;
+  if (has_flag(argc, argv, "--no-shard")) opts.shard_cost = 0;
+  opts.journal_group_commit = has_flag(argc, argv, "--journal-group-commit");
   return opts;
-}
-
-/// One histogram summary object for the --metrics JSON: count/sum plus
-/// the deterministic nearest-rank percentiles and the max bucket bound.
-void metrics_histogram(harness::JsonWriter& w, const std::string& name,
-                       const telemetry::HistogramSnapshot& s) {
-  w.key(name).begin_object();
-  w.kv("count", s.count);
-  w.kv("sum", s.sum);
-  w.kv("mean", s.mean());
-  w.kv("p50", s.quantile(0.50));
-  w.kv("p90", s.quantile(0.90));
-  w.kv("p99", s.quantile(0.99));
-  w.kv("max", s.max_bound());
-  w.end_object();
-}
-
-/// The scheduler-metrics JSON consumed by tools/scaling_report.py:
-/// latency/steps/steal/queue-depth histogram summaries, steal totals,
-/// the per-worker busy/steal/sink/idle decomposition and (schema 2) the
-/// shard plan plus the scheduler-overhead split: heuristic_seconds is
-/// the summed per-heuristic minimize time, so busy - heuristic is the
-/// per-job fixed cost (decode, reset, governor, validation, delivery).
-std::string metrics_json(const engine::BatchReport& report) {
-  const engine::BatchMetrics& m = report.metrics;
-  double heuristic_seconds = 0.0;
-  for (const engine::JobOutcome& o : report.outcomes) {
-    for (const engine::HeuristicResult& r : o.results) {
-      heuristic_seconds += r.seconds;
-    }
-  }
-  double busy_seconds = 0.0;
-  for (const engine::WorkerUtilization& u : m.workers) {
-    busy_seconds += u.busy_seconds;
-  }
-  harness::JsonWriter w;
-  w.begin_object();
-  w.kv("schema_version", 2);
-  w.kv("telemetry_enabled", telemetry::kHistogramsEnabled);
-  w.kv("threads", report.num_threads);
-  w.kv("jobs", static_cast<std::uint64_t>(report.outcomes.size()));
-  w.kv("wall_seconds", report.wall_seconds);
-  w.key("sharding").begin_object();
-  w.kv("shards", m.shards);
-  w.kv("shard_cost_budget", m.shard_cost_budget);
-  w.kv("warm_jobs", m.warm_jobs);
-  w.kv("cold_jobs", m.cold_jobs);
-  metrics_histogram(w, "shard_jobs", m.shard_jobs);
-  metrics_histogram(w, "shard_cost", m.shard_cost);
-  w.end_object();
-  w.key("overhead").begin_object();
-  w.kv("busy_seconds", busy_seconds);
-  w.kv("heuristic_seconds", heuristic_seconds);
-  w.kv("overhead_fraction",
-       busy_seconds > 0.0
-           ? std::max(0.0, 1.0 - heuristic_seconds / busy_seconds)
-           : 0.0);
-  w.end_object();
-  metrics_histogram(w, "job_latency_ns", m.job_latency_ns);
-  metrics_histogram(w, "job_steps", m.job_steps);
-  metrics_histogram(w, "steal_search_ns", m.steal_search_ns);
-  metrics_histogram(w, "queue_depth", m.queue_depth);
-  w.kv("steal_attempts", m.steal_attempts);
-  w.kv("steals", m.steals);
-  w.kv("steal_success_rate",
-       m.steal_attempts == 0
-           ? 0.0
-           : static_cast<double>(m.steals) /
-                 static_cast<double>(m.steal_attempts));
-  w.key("workers").begin_array();
-  for (const engine::WorkerUtilization& u : m.workers) {
-    w.begin_object();
-    w.kv("worker", u.worker);
-    w.kv("busy_seconds", u.busy_seconds);
-    w.kv("steal_seconds", u.steal_seconds);
-    w.kv("sink_seconds", u.sink_seconds);
-    w.kv("idle_seconds", u.idle_seconds);
-    w.kv("jobs", u.jobs);
-    w.kv("steal_attempts", u.steal_attempts);
-    w.kv("steals", u.steals);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return w.str();
 }
 
 int batch_exit_code(const engine::BatchReport& report) {
@@ -629,27 +531,16 @@ int cmd_batch(int argc, char** argv) {
   } else {
     std::printf("%s", csv.c_str());
   }
-  if (const char* path = flag_value(argc, argv, "--metrics")) {
-    if (!harness::write_text_file(path, metrics_json(report))) {
-      std::fprintf(stderr, "cannot write %s\n", path);
-      return 1;
-    }
-    std::printf("metrics written to %s\n", path);
-  }
   return batch_exit_code(report);
 }
 
 int cmd_stats(int argc, char** argv) {
   const std::vector<engine::Job> jobs = batch_jobs(argc, argv);
   const engine::EngineOptions opts = batch_options(argc, argv);
-  telemetry::global().reset();      // expose only this batch's work
-  telemetry::histograms().reset();  // same for the histogram bank
+  telemetry::global().reset();  // expose only this batch's work
   const engine::BatchReport report = engine::run_batch(jobs, opts);
   std::printf("%s",
               telemetry::prometheus_text(telemetry::global().snapshot()).c_str());
-  std::printf("%s",
-              telemetry::histogram_prometheus_text(telemetry::histograms())
-                  .c_str());
   return batch_exit_code(report);
 }
 
@@ -783,12 +674,11 @@ int main(int argc, char** argv) {
                " [--csv PATH] [--timings] [--counters]\n"
                "                   [--max-retries N] [--backoff-ms N]"
                " [--hang-timeout-ms N] [--attempts]\n"
-               "                   [--journal PATH] [--resume] [--progress]"
-               " [--metrics PATH]\n"
+               "                   [--journal PATH] [--resume] [--progress]\n"
                "                   [--shard-cost C] [--no-shard]"
                " [--journal-group-commit]\n"
                "  bddmin_cli stats [batch flags]  (prints Prometheus-style"
-               " telemetry counters + histograms)\n"
+               " telemetry counters)\n"
                "  bddmin_cli failpoints [--describe]  (lists the registered"
                " fault-injection points)\n"
                "  bddmin_cli stress [--workload NAME] [--seed S]"

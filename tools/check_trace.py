@@ -4,14 +4,9 @@
 Checks (mirrors bddmin::telemetry::validate_trace, plus CI-side extras):
   * the file parses as JSON with a "traceEvents" array
   * every event has ph/pid/tid/ts/name; "X" events also carry dur >= 0
-  * "C" (counter) events — e.g. the engine's queue-depth samples — carry
-    a non-empty args object with only numeric values
   * spans on one (pid, tid) track are strictly nested — no partial overlap
   * with --min-tracks N: at least N distinct tids carry complete spans
     (proves the per-worker tracks are actually populated)
-  * with --summary: per-track totals — top-level span time, span/instant/
-    counter event counts — plus per-counter sample ranges (the queue-depth
-    drain curve at a glance) and flight-recorder dump markers
 
 Exit status 0 on a valid trace, 1 otherwise (message on stderr).
 """
@@ -31,9 +26,6 @@ def main() -> int:
     parser.add_argument("--min-tracks", type=int, default=1, metavar="N",
                         help="require complete spans on at least N distinct "
                              "tids (default: 1)")
-    parser.add_argument("--summary", action="store_true",
-                        help="print per-track span time totals and counter "
-                             "sample ranges after validating")
     args = parser.parse_args()
 
     try:
@@ -52,16 +44,12 @@ def main() -> int:
 
     spans_by_track = {}
     thread_names = {}
-    instants_by_track = {}
-    counters_by_track = {}
-    counter_samples = {}  # counter name -> list of values
-    dump_markers = 0
     instants = 0
     for i, ev in enumerate(events):
         if not isinstance(ev, dict):
             return fail(f"event {i} is not an object")
         ph = ev.get("ph")
-        if ph not in ("X", "i", "M", "C"):
+        if ph not in ("X", "i", "M"):
             return fail(f"event {i} has unexpected ph {ph!r}")
         for key in ("pid", "tid", "name"):
             if key not in ev:
@@ -75,20 +63,6 @@ def main() -> int:
             return fail(f"event {i} ({ph}) lacks 'ts'")
         if ph == "i":
             instants += 1
-            instants_by_track[track] = instants_by_track.get(track, 0) + 1
-            if ev["name"] == "flight_dump":
-                dump_markers += 1
-            continue
-        if ph == "C":
-            cargs = ev.get("args")
-            if not isinstance(cargs, dict) or not cargs:
-                return fail(f"counter event {i} lacks a non-empty 'args'")
-            for key, value in cargs.items():
-                if not isinstance(value, (int, float)):
-                    return fail(f"counter event {i} arg {key!r} is not "
-                                f"numeric: {value!r}")
-                counter_samples.setdefault(ev["name"], []).append(value)
-            counters_by_track[track] = counters_by_track.get(track, 0) + 1
             continue
         dur = ev.get("dur")
         if not isinstance(dur, (int, float)) or dur < 0:
@@ -98,52 +72,26 @@ def main() -> int:
 
     # Strict nesting per track: sweep spans by start time and keep a stack
     # of open end times.  A span that starts inside an open span must also
-    # end inside it.  Top-level (stack-empty) span time is the track's
-    # self-reported occupancy, which --summary reports.
-    toplevel_by_track = {}
+    # end inside it.
     for track, spans in spans_by_track.items():
         spans.sort(key=lambda s: (s[0], -s[1]))
         stack = []
-        toplevel = 0.0
         for start, end, name in spans:
             while stack and stack[-1][0] <= start:
                 stack.pop()
             if stack and end > stack[-1][0]:
                 return fail(f"span {name!r} on tid {track[1]} overlaps "
                             f"{stack[-1][1]!r} without nesting")
-            if not stack:
-                toplevel += end - start
             stack.append((end, name))
-        toplevel_by_track[track] = toplevel
 
     if len(spans_by_track) < args.min_tracks:
         named = {t: thread_names.get(t, "?") for t in spans_by_track}
         return fail(f"only {len(spans_by_track)} track(s) carry spans "
                     f"({named}), need {args.min_tracks}")
 
-    counters = sum(counters_by_track.values())
     print(f"check_trace: OK — {sum(len(s) for s in spans_by_track.values())} "
           f"spans on {len(spans_by_track)} track(s), {instants} instants, "
-          f"{counters} counter samples, {len(thread_names)} named threads")
-
-    if args.summary:
-        print("track summary (top-level span time, per track):")
-        tracks = sorted(set(spans_by_track) | set(instants_by_track)
-                        | set(counters_by_track))
-        for track in tracks:
-            name = thread_names.get(track, "?")
-            spans = spans_by_track.get(track, [])
-            print(f"  tid {track[1]:>8} {name:<12} "
-                  f"spans={len(spans):<6} "
-                  f"span_time={toplevel_by_track.get(track, 0.0) / 1e6:8.3f}s "
-                  f"instants={instants_by_track.get(track, 0):<5} "
-                  f"counters={counters_by_track.get(track, 0)}")
-        for cname in sorted(counter_samples):
-            values = counter_samples[cname]
-            print(f"counter {cname!r}: {len(values)} samples, "
-                  f"min={min(values)} max={max(values)} last={values[-1]}")
-        if dump_markers:
-            print(f"flight-recorder dump markers: {dump_markers}")
+          f"{len(thread_names)} named threads")
     return 0
 
 
