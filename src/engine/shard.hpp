@@ -6,11 +6,12 @@
 /// Manager::reset(), a stone-cold computed cache, decode allocations,
 /// one fsync per journal append, sink/CSV bookkeeping — rival the
 /// minimization itself, and the work-stealing deque amplifies them by
-/// scheduling every one of those tiny jobs individually.  This header packs the submission stream into
-/// **shards**: consecutive runs of jobs whose *estimated* cost adds up
-/// to a configurable budget.  The deque then dispatches shard indices,
-/// amortizing one scheduling decision (and, in the engine, one manager
-/// reset and one journal fsync) over a whole shard.
+/// scheduling every one of those tiny jobs individually.  This header
+/// packs the submission stream into **shards**: consecutive runs of jobs
+/// whose *estimated* cost adds up to a configurable budget.  The deque
+/// then dispatches shard indices, amortizing one scheduling decision
+/// (and, in the engine, one manager reset and one journal fsync) over a
+/// whole shard.
 ///
 /// The cost model is deliberately crude but **deterministic**: a fixed
 /// per-job charge plus the payload's size in bits (truth tables) or
