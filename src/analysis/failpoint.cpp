@@ -15,7 +15,7 @@ namespace {
 /// the tree must appear here exactly once; lint rule R7 parses the block
 /// between the begin/end markers and cross-checks the sites.  The
 /// default value is the hit payload when the arming spec does not
-/// override it (latency in ms for the hang points, the exit status for
+/// override it (latency in ms for sink_drain_hang, the exit status for
 /// journal_commit_abort).
 // bddmin-failpoint-catalog-begin
 const std::vector<FailPointRegistry::CatalogEntry> kCatalog = {
@@ -43,19 +43,10 @@ const std::vector<FailPointRegistry::CatalogEntry> kCatalog = {
      "throw Deadline in the engine's run_budgeted, before each heuristic "
      "(and fallback) call",
      0},
-    {"minimize_hang",
-     "abort-aware sleep (value = ms) in the engine's run_budgeted, before "
-     "each heuristic (and fallback) call; cancelled by the engine watchdog "
-     "via AbortRequested",
-     200},
     {"job_decode_corrupt",
      "reject the job payload as corrupted in engine::decode_job "
      "(simulates a snapshot that fails integrity checks)",
      0},
-    {"worker_loop_hang",
-     "abort-aware sleep (value = ms) in the engine worker loop before a "
-     "job runs; cancelled by the watchdog via AbortRequested",
-     200},
     {"sink_drain_hang",
      "bounded sleep (value = ms) before an outcome is delivered to the "
      "result sink",

@@ -5,7 +5,7 @@
 /// costs one relaxed atomic load, but can be *armed* to simulate the
 /// failures the robustness machinery must survive: allocation failure
 /// (`OutOfMemory`), expired budgets (`Deadline`), artificial latency
-/// (hang simulation), payload corruption, and process death.  The idiom
+/// (a stalled delivery), payload corruption, and process death.  The idiom
 /// follows mongod's failpoints: the registry owns the arming state and a
 /// site-local macro evaluates it.
 ///
@@ -24,7 +24,7 @@
 ///
 /// Arming, three ways:
 ///  * programmatically: `failpoints().arm("gc_oom", {.mode = kOnce})`
-///  * environment:      `BDDMIN_FAILPOINTS=gc_oom:once,minimize_hang:nth:3`
+///  * environment:      `BDDMIN_FAILPOINTS=gc_oom:once,sink_drain_hang:nth:3`
 ///    (parsed by `arm_from_env`, which the batch engine calls at the top
 ///    of `run_batch` — so job *generation* in the CLI is never faulted,
 ///    only the batch under test)

@@ -8,7 +8,6 @@ const char* limit_class_name(LimitClass c) noexcept {
     case LimitClass::kStepLimit: return "step-limit";
     case LimitClass::kDeadline: return "deadline";
     case LimitClass::kOutOfMemory: return "out-of-memory";
-    case LimitClass::kCancelled: return "cancelled";
   }
   return "?";
 }
@@ -35,10 +34,6 @@ OutOfMemory::OutOfMemory(const char* site, std::size_t bytes)
                             std::to_string(bytes) + " bytes requested)"),
       bytes_(bytes) {}
 
-AbortRequested::AbortRequested(const char* who)
-    : ResourceExhausted(LimitClass::kCancelled,
-                        std::string("operation cancelled by ") + who) {}
-
 void ResourceGovernor::throw_step_limit() const {
   throw StepLimit(limits_.step_limit);
 }
@@ -46,7 +41,5 @@ void ResourceGovernor::throw_step_limit() const {
 void ResourceGovernor::throw_deadline() const {
   throw Deadline(limits_.deadline_seconds);
 }
-
-void ResourceGovernor::throw_abort() const { throw AbortRequested("watchdog"); }
 
 }  // namespace bddmin

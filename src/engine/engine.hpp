@@ -25,11 +25,11 @@
 /// Sharding (`shard_cost > 0`): the submission stream is packed into
 /// cost-balanced shards (engine/shard.hpp) and the work-stealing deque
 /// dispatches shard indices, so one scheduling decision covers dozens of
-/// tiny jobs.  Retry, timeout, cancellation, dedup, journaling and
-/// quarantine all stay strictly per-job.  Within a shard the pooled
-/// manager additionally skips reset() between consecutive jobs that
-/// share num_vars — the unique table and the 2-way computed cache stay
-/// *warm* across jobs — unless an escape hatch forces a cold start:
+/// tiny jobs.  Retry, timeout, cancellation, dedup and journaling all
+/// stay strictly per-job.  Within a shard the pooled manager
+/// additionally skips reset() between consecutive jobs that share
+/// num_vars — the unique table and the 2-way computed cache stay *warm*
+/// across jobs — unless an escape hatch forces a cold start:
 /// node/step quotas configured (quota trips depend on allocation state),
 /// audit_level >= kStructural (the auditor must see a one-job table),
 /// the allocated-node watermark exceeded, or a retry attempt.  Warm
@@ -53,21 +53,17 @@
 /// in `JobOutcome::detail`; kError is reserved for genuine bugs.
 ///
 /// Resilience (failpoint-tested; see docs/ROBUSTNESS.md):
+///  * **deadline** — `job_timeout_seconds > 0` is the one way a job is
+///    cut short: the governor polls the remaining allowance inside the
+///    budgeted recursions, and the job degrades to its best cover.
 ///  * **retry** — `max_retries > 0` re-runs a job whose failure class is
-///    transient (kError, an out-of-memory degrade, a watchdog hang, or an
-///    injected deadline when no job timeout is configured) with
+///    transient (kError, an out-of-memory degrade, or an injected
+///    deadline when no job timeout is configured) with
 ///    exponential backoff + deterministic jitter.  Each attempt starts
 ///    from a fresh JobOutcome, so the *final* outcome of a retried job is
 ///    identical to a never-faulted run; `attempts`/`retry_reason` are
 ///    recorded but only emitted into the CSV with `include_attempts`
 ///    (which failure hits which job is schedule-dependent under faults).
-///  * **watchdog** — `hang_timeout_seconds > 0` starts a monitor thread;
-///    a (job, attempt) exceeding the threshold is cancelled via an
-///    epoch-tagged abort signal polled by the governor (AbortRequested),
-///    then retried or, with the budget exhausted, finished as
-///    kQuarantined.  Only cooperative code can be cancelled — a truly
-///    wedged job (no charge_step, no poll) is detected but still waited
-///    on.
 ///  * **journal** — `journal_path` writes an append-only, checksummed,
 ///    fsync'd record of submitted jobs and completed outcomes; `resume`
 ///    (from journal::read_journal) pre-fills completed outcomes and
@@ -99,8 +95,6 @@ enum class JobStatus : std::uint8_t {
   kError,          ///< decode failure, thrown BDDMIN_CHECK, bad cover or audit finding
   kResourceLimit,  ///< a heuristic exhausted its budget; the job degraded to
                    ///< a still-valid fallback cover (see JobOutcome::detail)
-  kQuarantined,    ///< cancelled by the hang watchdog with the retry budget
-                   ///< exhausted; set aside, never blocks the batch
 };
 
 [[nodiscard]] const char* job_status_name(JobStatus s) noexcept;
@@ -161,11 +155,6 @@ struct EngineOptions {
   /// can accumulate.  Deterministic (allocation history is a pure
   /// function of the shard contents).
   std::size_t shard_node_watermark = 1u << 20;
-  /// Journal group-commit: buffer completion records per worker and
-  /// flush them with one fwrite + fsync per *shard* instead of one per
-  /// job (see journal.hpp).  A crash loses at most the unflushed whole
-  /// records, which simply re-run on resume.
-  bool journal_group_commit = false;
   /// Collapse jobs with byte-identical payloads (kind, num_vars and the
   /// truth-table/forest content — names excluded): each distinct payload
   /// is minimized once and the outcome is replicated into every
@@ -179,17 +168,13 @@ struct EngineOptions {
   /// atomic — a started job always runs to its own completion).
   std::shared_ptr<std::atomic<bool>> cancel;
   /// Per-job retry budget for transient failures (kError, out-of-memory
-  /// degrades, watchdog hangs; see the header comment).  0 keeps the
-  /// historical fail-on-first-error behaviour.
+  /// and injected-deadline degrades; see the header comment).  0 keeps
+  /// the historical fail-on-first-error behaviour.
   unsigned max_retries = 0;
   /// Base backoff before retry k: `backoff_ms * 2^(k-1)` ms (capped at
   /// 10 s) plus a deterministic jitter in [0, backoff_ms) derived from
   /// (job index, attempt).  0 retries immediately.
   unsigned backoff_ms = 0;
-  /// Hang threshold for the watchdog thread; a (job, attempt) running
-  /// longer is cancelled (AbortRequested) and retried or quarantined.
-  /// 0 disables the watchdog.
-  double hang_timeout_seconds = 0.0;
   /// Write-ahead journal path.  Non-empty: the batch truncates the file,
   /// records every submitted job up front and every outcome as it
   /// completes (checksummed, fsync'd).  See engine/journal.hpp.
@@ -199,11 +184,11 @@ struct EngineOptions {
   /// to keep appending completion records for the jobs that do run.
   const JournalContents* resume = nullptr;
   /// Emit a single self-overwriting progress line on stderr, refreshed at
-  /// most every 500 ms (jobs done/total, ok/fail/quarantined tallies,
-  /// throughput, ETA), fed by the result sink's counters.  The engine
-  /// honours the flag unconditionally; the CLI only sets it when stderr
-  /// is a terminal (or BDDMIN_PROGRESS=1 forces it), so redirected runs
-  /// stay clean.  Never written to stdout or the CSV.
+  /// most every 500 ms (jobs done/total, ok/fail tallies, throughput,
+  /// ETA), fed by the result sink's counters.  The engine honours the
+  /// flag unconditionally; the CLI only sets it when stderr is a terminal
+  /// (or BDDMIN_PROGRESS=1 forces it), so redirected runs stay clean.
+  /// Never written to stdout or the CSV.
   bool progress = false;
 };
 
@@ -252,7 +237,7 @@ struct JobOutcome {
   /// schedule-dependent, which is why the CSV column is opt-in.
   unsigned attempts = 1;
   /// Failure class of the *first* retried attempt ("error",
-  /// "out-of-memory", "deadline", "hung"); empty when attempts == 1.
+  /// "out-of-memory", "deadline"); empty when attempts == 1.
   std::string retry_reason;
 };
 

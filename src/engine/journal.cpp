@@ -8,7 +8,6 @@
 #include <fstream>
 
 #include "analysis/failpoint.hpp"
-#include "engine/flight.hpp"
 
 namespace bddmin::engine {
 namespace {
@@ -224,7 +223,7 @@ JobOutcome decode_outcome_record(const std::string& payload) {
   outcome.name = cur.next_string();
   outcome.num_vars = static_cast<unsigned>(cur.next_u64());
   const std::uint64_t status = cur.next_u64();
-  if (status > static_cast<std::uint64_t>(JobStatus::kQuarantined)) {
+  if (status > static_cast<std::uint64_t>(JobStatus::kResourceLimit)) {
     throw std::invalid_argument("journal record: bad status");
   }
   outcome.status = static_cast<JobStatus>(status);
@@ -303,41 +302,24 @@ namespace {
   return std::string(prefix) + payload + "\n";
 }
 
-/// The crash the resume path must heal: die *before* any completion
-/// record (single or group) reaches the journal, so the affected jobs
-/// re-run on resume.  The worker's flight recorder is dumped first —
-/// this is exactly the "fatal failpoint" moment the ring exists for.
-/// Shared by append_completed and append_raw_lines so once/nth arming
-/// has a single polling site.
-void maybe_abort_before_commit() {
-  if (const auto hit = BDDMIN_FAILPOINT("journal_commit_abort")) {
-    flight_fatal_dump("journal_commit_abort");
-    std::_Exit(static_cast<int>(hit.value));
-  }
-}
-
 }  // namespace
 
 void JournalWriter::commit(const std::string& bytes, bool completion) {
   const std::lock_guard<std::mutex> lock(mu_);
   // The failpoint polls *inside* the lock: commits serialize, so an
   // nth-hit abort is guaranteed to leave the n-1 preceding commits
-  // durable — the crash-matrix tests depend on that ordering.
-  if (completion) maybe_abort_before_commit();
+  // durable — the crash-matrix tests depend on that ordering.  This is
+  // the crash the resume path must heal: the process dies *before* the
+  // completion record reaches the journal, so the job re-runs on resume.
+  if (completion) {
+    if (const auto hit = BDDMIN_FAILPOINT("journal_commit_abort")) {
+      std::_Exit(static_cast<int>(hit.value));
+    }
+  }
   if (std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size() ||
       std::fflush(file_) != 0 || ::fsync(::fileno(file_)) != 0) {
     throw JournalError("journal: write failed on '" + path_ + "'");
   }
-}
-
-std::string format_completed_record(std::size_t index,
-                                    const JobOutcome& outcome) {
-  return format_record('C', index, encode_outcome_record(outcome));
-}
-
-void JournalWriter::append_raw_lines(const std::string& lines) {
-  if (lines.empty()) return;
-  commit(lines, /*completion=*/true);
 }
 
 void JournalWriter::append_submitted(std::size_t index, const Job& job) {
@@ -347,7 +329,8 @@ void JournalWriter::append_submitted(std::size_t index, const Job& job) {
 
 void JournalWriter::append_completed(std::size_t index,
                                      const JobOutcome& outcome) {
-  commit(format_completed_record(index, outcome), /*completion=*/true);
+  commit(format_record('C', index, encode_outcome_record(outcome)),
+         /*completion=*/true);
 }
 
 // ---- Reader ------------------------------------------------------------

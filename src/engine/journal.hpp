@@ -19,17 +19,6 @@
 /// the writer returns — a `kill -9` can lose at most the record being
 /// written, never corrupt an earlier one.
 ///
-/// Group commit (the sharded engine's mode): instead of one
-/// fwrite+fsync per completion, a worker formats its shard's C records
-/// locally (`format_completed_record`) and flushes them in a single
-/// `append_raw_lines` call — one fsync per *shard*.  Durability weakens
-/// exactly as far as the batching: a crash loses at most the unflushed
-/// whole records of in-flight shards (each a well-formed line that was
-/// simply never written), plus possibly one torn final line — both
-/// already covered by the forgiving-tail recovery rules below, so a
-/// resumed run re-executes those jobs and converges to the identical
-/// CSV.
-///
 /// Recovery (`read_journal`) is deliberately forgiving about the tail
 /// and strict about the head:
 ///  * unknown/garbled header → JournalError (a wrong-version file should
@@ -96,13 +85,6 @@ class JournalWriter {
       BDDMIN_EXCLUDES(mu_);
   void append_completed(std::size_t index, const JobOutcome& outcome)
       BDDMIN_EXCLUDES(mu_);
-  /// Group commit: write \p lines — a concatenation of full record lines
-  /// from format_completed_record — with one fwrite + fflush + fsync.
-  /// No-op on an empty string.  Fires the same `journal_commit_abort`
-  /// failpoint as append_completed (the crash happens *before* the
-  /// batched records reach the file, so every job in the group re-runs
-  /// on resume).
-  void append_raw_lines(const std::string& lines) BDDMIN_EXCLUDES(mu_);
 
  private:
   /// Single durable write of \p bytes under mu_.  \p completion polls the
@@ -131,12 +113,5 @@ class JournalWriter {
 [[nodiscard]] Job decode_job_record(const std::string& payload);
 [[nodiscard]] std::string encode_outcome_record(const JobOutcome& outcome);
 [[nodiscard]] JobOutcome decode_outcome_record(const std::string& payload);
-
-/// The exact line append_completed(index, outcome) would write —
-/// `C <index> <crc32-hex> <payload>\n` — without touching any file.
-/// Building blocks for group commit: format per worker (no lock), flush
-/// batches via JournalWriter::append_raw_lines.
-[[nodiscard]] std::string format_completed_record(std::size_t index,
-                                                  const JobOutcome& outcome);
 
 }  // namespace bddmin::engine

@@ -492,8 +492,8 @@ std::string inv_fault_detected(StressContext& ctx) {
 /// BDD work runs: each injects a ResourceExhausted the strong-abort
 /// machinery already handles.  minimize_deadline sits at the engine's
 /// per-heuristic boundary, so only fp-batch reaches it.  The
-/// hang/corruption/process-death sites are deliberately excluded — they
-/// need the engine's watchdog/retry harness around them.
+/// latency/corruption/process-death sites are deliberately excluded —
+/// they need the engine's retry harness around them.
 constexpr const char* kSafeRandomPoints[] = {
     "unique_insert_oom", "bucket_grow_oom", "gc_oom", "minimize_deadline"};
 

@@ -1,12 +1,8 @@
 #include "telemetry/trace.hpp"
 
-#include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -294,229 +290,6 @@ void Tracer::instant(std::string name, const char* cat) {
   ev.ph = 'i';
   ev.ts_ns = impl_->now_ns();
   log->events.push_back(std::move(ev));
-}
-
-// ---------------------------------------------------------------------
-// validate_trace: a minimal JSON reader sufficient for trace files.
-// ---------------------------------------------------------------------
-
-namespace {
-
-/// Parsed JSON value (only what the validator needs).
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject } kind =
-      Kind::kNull;
-  double number = 0.0;
-  bool boolean = false;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  bool parse(JsonValue* out) {
-    skip_ws();
-    if (!value(out)) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-  [[nodiscard]] std::string error() const {
-    return "JSON parse error near offset " + std::to_string(pos_);
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-  bool literal(const char* word) {
-    const std::size_t n = std::strlen(word);
-    if (s_.compare(pos_, n, word) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-  bool value(JsonValue* out) {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{': return object(out);
-      case '[': return array(out);
-      case '"': out->kind = JsonValue::Kind::kString; return string(&out->string);
-      case 't': out->kind = JsonValue::Kind::kBool; out->boolean = true;
-                return literal("true");
-      case 'f': out->kind = JsonValue::Kind::kBool; out->boolean = false;
-                return literal("false");
-      case 'n': out->kind = JsonValue::Kind::kNull; return literal("null");
-      default: return number(out);
-    }
-  }
-  bool string(std::string* out) {
-    if (s_[pos_] != '"') return false;
-    ++pos_;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (s_[pos_] == '\\') {
-        ++pos_;
-        if (pos_ >= s_.size()) return false;
-        switch (s_[pos_]) {
-          case '"': *out += '"'; break;
-          case '\\': *out += '\\'; break;
-          case '/': *out += '/'; break;
-          case 'n': *out += '\n'; break;
-          case 'r': *out += '\r'; break;
-          case 't': *out += '\t'; break;
-          case 'b': *out += '\b'; break;
-          case 'f': *out += '\f'; break;
-          case 'u':
-            if (pos_ + 4 >= s_.size()) return false;
-            *out += '?';  // code point fidelity is irrelevant here
-            pos_ += 4;
-            break;
-          default: return false;
-        }
-        ++pos_;
-      } else {
-        *out += s_[pos_++];
-      }
-    }
-    if (pos_ >= s_.size()) return false;
-    ++pos_;  // closing quote
-    return true;
-  }
-  bool number(JsonValue* out) {
-    const std::size_t start = pos_;
-    if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+')) ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '-' || s_[pos_] == '+')) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    out->kind = JsonValue::Kind::kNumber;
-    out->number = std::strtod(s_.substr(start, pos_ - start).c_str(), nullptr);
-    return true;
-  }
-  bool array(JsonValue* out) {
-    out->kind = JsonValue::Kind::kArray;
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == ']') { ++pos_; return true; }
-    while (true) {
-      JsonValue element;
-      skip_ws();
-      if (!value(&element)) return false;
-      out->array.push_back(std::move(element));
-      skip_ws();
-      if (pos_ >= s_.size()) return false;
-      if (s_[pos_] == ',') { ++pos_; continue; }
-      if (s_[pos_] == ']') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool object(JsonValue* out) {
-    out->kind = JsonValue::Kind::kObject;
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == '}') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (pos_ >= s_.size() || !string(&key)) return false;
-      skip_ws();
-      if (pos_ >= s_.size() || s_[pos_] != ':') return false;
-      ++pos_;
-      skip_ws();
-      JsonValue element;
-      if (!value(&element)) return false;
-      out->object.emplace(std::move(key), std::move(element));
-      skip_ws();
-      if (pos_ >= s_.size()) return false;
-      if (s_[pos_] == ',') { ++pos_; continue; }
-      if (s_[pos_] == '}') { ++pos_; return true; }
-      return false;
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-std::string validate_trace(const std::string& json) {
-  JsonParser parser(json);
-  JsonValue root;
-  if (!parser.parse(&root)) return parser.error();
-  if (root.kind != JsonValue::Kind::kObject) return "root is not an object";
-  const auto it = root.object.find("traceEvents");
-  if (it == root.object.end()) return "missing traceEvents";
-  if (it->second.kind != JsonValue::Kind::kArray) {
-    return "traceEvents is not an array";
-  }
-
-  struct Span {
-    double ts, dur;
-    std::string name;
-  };
-  std::map<double, std::vector<Span>> per_tid;
-  for (const JsonValue& ev : it->second.array) {
-    if (ev.kind != JsonValue::Kind::kObject) return "event is not an object";
-    const auto field = [&](const char* key) -> const JsonValue* {
-      const auto f = ev.object.find(key);
-      return f == ev.object.end() ? nullptr : &f->second;
-    };
-    const JsonValue* ph = field("ph");
-    const JsonValue* name = field("name");
-    const JsonValue* tid = field("tid");
-    if (ph == nullptr || ph->kind != JsonValue::Kind::kString) {
-      return "event missing ph";
-    }
-    if (name == nullptr || name->kind != JsonValue::Kind::kString) {
-      return "event missing name";
-    }
-    if (tid == nullptr || tid->kind != JsonValue::Kind::kNumber) {
-      return "event missing tid";
-    }
-    if (ph->string == "X") {
-      const JsonValue* ts = field("ts");
-      const JsonValue* dur = field("dur");
-      if (ts == nullptr || ts->kind != JsonValue::Kind::kNumber) {
-        return "X event missing ts";
-      }
-      if (dur == nullptr || dur->kind != JsonValue::Kind::kNumber) {
-        return "X event missing dur";
-      }
-      per_tid[tid->number].push_back({ts->number, dur->number, name->string});
-    } else if (ph->string != "i" && ph->string != "M") {
-      return "unexpected ph \"" + ph->string + "\"";
-    }
-  }
-
-  // Strict nesting per track: sort by (start asc, duration desc); each
-  // span must lie entirely inside the innermost span still open.
-  for (auto& [tid, spans] : per_tid) {
-    std::stable_sort(spans.begin(), spans.end(), [](const Span& a, const Span& b) {
-      if (a.ts != b.ts) return a.ts < b.ts;
-      return a.dur > b.dur;
-    });
-    constexpr double kEps = 1e-3;  // emitted with 3 decimals (ns resolution)
-    std::vector<double> open_ends;
-    for (const Span& s : spans) {
-      while (!open_ends.empty() && open_ends.back() <= s.ts + kEps) {
-        open_ends.pop_back();
-      }
-      if (!open_ends.empty() && s.ts + s.dur > open_ends.back() + kEps) {
-        return "span \"" + s.name + "\" overlaps its parent on tid " +
-               std::to_string(tid);
-      }
-      open_ends.push_back(s.ts + s.dur);
-    }
-  }
-  return "";
 }
 
 }  // namespace bddmin::telemetry

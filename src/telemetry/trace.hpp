@@ -100,11 +100,4 @@ inline void trace_instant(const char* name, const char* cat) {
   if (Tracer* t = Tracer::active()) t->instant(name, cat);
 }
 
-/// Validate Chrome trace JSON: parseable, a traceEvents array of
-/// well-formed events, and complete events strictly nested per tid.
-/// Returns "" on success, else a one-line diagnostic.  (The CI uses the
-/// equivalent Python checker in tools/check_trace.py; this one serves
-/// the unit tests without external dependencies.)
-[[nodiscard]] std::string validate_trace(const std::string& json);
-
 }  // namespace bddmin::telemetry

@@ -1,13 +1,10 @@
 /// \file test_failpoint.cpp
 /// \brief Failpoint registry semantics (modes, arming grammar, env
 /// arming) and the batch engine's resilience around injected faults:
-/// retry/backoff accounting, watchdog quarantine, audit-clean recovery.
+/// retry/backoff accounting, audit-clean recovery.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -41,7 +38,7 @@ class FailPointTest : public ::testing::Test {
 
 TEST_F(FailPointTest, CatalogIsStableAndSitesResolve) {
   const auto& catalog = FailPointRegistry::catalog();
-  EXPECT_EQ(catalog.size(), 11u);
+  EXPECT_EQ(catalog.size(), 9u);
   for (const auto& entry : catalog) {
     // site() must resolve every cataloged name to a stable instance.
     analysis::FailPoint& a = failpoints().site(entry.name);
@@ -114,11 +111,11 @@ TEST_F(FailPointTest, RandomIsSeededAndDeterministic) {
 TEST_F(FailPointTest, HitCarriesTheDefaultOrOverriddenPayload) {
   FailPointConfig cfg;
   cfg.mode = FailPointMode::kOnce;
-  failpoints().arm("minimize_hang", cfg);  // catalog default payload: 200
-  EXPECT_EQ(failpoints().evaluate("minimize_hang").value, 200u);
+  failpoints().arm("sink_drain_hang", cfg);  // catalog default payload: 50
+  EXPECT_EQ(failpoints().evaluate("sink_drain_hang").value, 50u);
   cfg.value = 7;
-  failpoints().arm("minimize_hang", cfg);
-  EXPECT_EQ(failpoints().evaluate("minimize_hang").value, 7u);
+  failpoints().arm("sink_drain_hang", cfg);
+  EXPECT_EQ(failpoints().evaluate("sink_drain_hang").value, 7u);
 }
 
 TEST_F(FailPointTest, ArmFromSpecGrammar) {
@@ -144,11 +141,11 @@ TEST_F(FailPointTest, ArmFromSpecGrammar) {
 }
 
 TEST_F(FailPointTest, ArmFromEnvArmsEverySpec) {
-  setenv("BDDMIN_FAILPOINTS", "gc_oom:once,minimize_hang:nth:2:9", 1);
+  setenv("BDDMIN_FAILPOINTS", "gc_oom:once,sink_drain_hang:nth:2:9", 1);
   failpoints().arm_from_env();
   EXPECT_TRUE(failpoints().evaluate("gc_oom"));
-  EXPECT_FALSE(failpoints().evaluate("minimize_hang"));
-  const auto hit = failpoints().evaluate("minimize_hang");
+  EXPECT_FALSE(failpoints().evaluate("sink_drain_hang"));
+  const auto hit = failpoints().evaluate("sink_drain_hang");
   EXPECT_TRUE(hit);
   EXPECT_EQ(hit.value, 9u);
 }
@@ -244,82 +241,6 @@ TEST_F(FailPointTest, RetryBudgetExhaustedKeepsTheDegradedOutcome) {
   EXPECT_EQ(rep.outcomes[0].attempts, 2u);
   EXPECT_EQ(rep.outcomes[0].retry_reason, "deadline");
   EXPECT_NE(rep.outcomes[0].detail.find("deadline"), std::string::npos);
-}
-
-TEST_F(FailPointTest, WatchdogQuarantinesAHungJobWithoutRetries) {
-  const std::vector<engine::Job> jobs = small_jobs(2);
-  engine::EngineOptions eo;
-  eo.heuristic = "restr";
-  eo.num_threads = 1;
-  eo.hang_timeout_seconds = 0.05;
-  failpoints().arm_from_spec("worker_loop_hang:once:2000");
-  const engine::BatchReport rep = engine::run_batch(jobs, eo);
-  EXPECT_EQ(rep.count(engine::JobStatus::kQuarantined), 1u);
-  EXPECT_EQ(rep.count(engine::JobStatus::kOk), 1u);
-  for (const engine::JobOutcome& o : rep.outcomes) {
-    if (o.status == engine::JobStatus::kQuarantined) {
-      EXPECT_NE(o.detail.find("watchdog"), std::string::npos) << o.detail;
-    }
-  }
-}
-
-TEST_F(FailPointTest, QuarantineDumpsTheFlightRecorder) {
-  // A quarantined job must leave a black-box trail: the worker's flight
-  // recorder dumped to stderr and appended to `<journal>.flight`.
-  const std::string journal =
-      ::testing::TempDir() + "bddmin_flight_quarantine.journal";
-  std::remove(journal.c_str());
-  const std::string flight = journal + ".flight";
-  std::remove(flight.c_str());
-
-  const std::vector<engine::Job> jobs = small_jobs(2);
-  engine::EngineOptions eo;
-  eo.heuristic = "restr";
-  eo.num_threads = 1;
-  eo.hang_timeout_seconds = 0.05;
-  eo.journal_path = journal;
-  failpoints().arm_from_spec("worker_loop_hang:once:2000");
-  ::testing::internal::CaptureStderr();
-  const engine::BatchReport rep = engine::run_batch(jobs, eo);
-  const std::string err = ::testing::internal::GetCapturedStderr();
-  ASSERT_EQ(rep.count(engine::JobStatus::kQuarantined), 1u);
-
-  EXPECT_NE(err.find("flight recorder"), std::string::npos) << err;
-  EXPECT_NE(err.find("job quarantined"), std::string::npos) << err;
-
-  std::ifstream in(flight);
-  ASSERT_TRUE(in.good()) << "no flight dump file at " << flight;
-  std::stringstream body;
-  body << in.rdbuf();
-  EXPECT_NE(body.str().find("flight recorder"), std::string::npos);
-  EXPECT_NE(body.str().find("quarantine"), std::string::npos);
-  // The ring held real scheduler history, not just the terminal event.
-  EXPECT_NE(body.str().find("job_start"), std::string::npos) << body.str();
-  std::remove(flight.c_str());
-  std::remove(journal.c_str());
-}
-
-TEST_F(FailPointTest, WatchdogPlusRetryRecoversTheHungJob) {
-  const std::vector<engine::Job> jobs = small_jobs(2);
-  engine::EngineOptions eo;
-  eo.heuristic = "restr";
-  eo.num_threads = 1;
-  eo.max_retries = 1;
-  const engine::BatchReport clean = engine::run_batch(jobs, eo);
-
-  eo.hang_timeout_seconds = 0.05;
-  failpoints().arm_from_spec("minimize_hang:once:2000");
-  const engine::BatchReport rep = engine::run_batch(jobs, eo);
-  EXPECT_EQ(rep.count(engine::JobStatus::kOk), 2u);
-  EXPECT_EQ(engine::report_csv(rep), engine::report_csv(clean));
-  unsigned retried = 0;
-  for (const engine::JobOutcome& o : rep.outcomes) {
-    if (o.attempts > 1) {
-      ++retried;
-      EXPECT_EQ(o.retry_reason, "hung");
-    }
-  }
-  EXPECT_EQ(retried, 1u);
 }
 
 TEST_F(FailPointTest, InjectedOomLeavesManagersAuditClean) {

@@ -35,10 +35,9 @@
 ///                  [--audit-level L] [--timeout-ms M] [--lower-bound]
 ///                  [--node-limit N] [--step-limit N]
 ///                  [--fallback-heuristic NAME] [--csv PATH] [--timings]
-///                  [--max-retries N] [--backoff-ms N] [--hang-timeout-ms N]
-///                  [--attempts] [--journal PATH] [--resume]
+///                  [--max-retries N] [--backoff-ms N] [--attempts]
+///                  [--journal PATH] [--resume]
 ///                  [--progress] [--shard-cost C] [--no-shard]
-///                  [--journal-group-commit]
 ///     Shard a set of minimization jobs across a worker pool (each worker
 ///     owns a private manager) and print the per-status summary plus a
 ///     submission-order CSV report.  Jobs come from the PLA's output
@@ -51,19 +50,19 @@
 ///     The CSV is byte-identical for any --threads value; --timings
 ///     appends the non-deterministic timing columns and --counters the
 ///     deterministic telemetry counter / phase-step columns.
-///     Resilience (docs/ROBUSTNESS.md): --max-retries re-runs jobs with a
-///     transient failure class, backing off --backoff-ms * 2^k with
-///     deterministic jitter; --hang-timeout-ms starts a watchdog that
-///     cancels (and retries or quarantines) a stuck job; --attempts
+///     Resilience (docs/ROBUSTNESS.md): --timeout-ms is the one way to
+///     cut a slow job short (it degrades to its best cover so far);
+///     --max-retries re-runs jobs with a transient failure class, backing
+///     off --backoff-ms * 2^k with deterministic jitter; --attempts
 ///     appends the `attempts`/`retry_reason` CSV columns.  --journal PATH
 ///     keeps a checksummed write-ahead journal of the batch; after a
 ///     crash, `--journal PATH --resume` re-runs only the incomplete jobs
 ///     and produces a CSV byte-identical to an uninterrupted run.
 ///     Observability (docs/OBSERVABILITY.md): --progress keeps a single
-///     self-overwriting status line on stderr (done/total, ok/fail/
-///     quarantined, jobs/s, ETA), refreshed at most every 500 ms; it is
-///     suppressed when stderr is not a terminal (BDDMIN_PROGRESS=1
-///     forces it on) and never touches stdout or the CSV.  Where the
+///     self-overwriting status line on stderr (done/total, ok/fail,
+///     jobs/s, ETA), refreshed at most every 500 ms; it is suppressed
+///     when stderr is not a terminal (BDDMIN_PROGRESS=1 forces it on)
+///     and never touches stdout or the CSV.  Where the
 ///     engine's time went is answered by BDDMIN_TRACE=<file> (Chrome
 ///     trace spans per worker) and by perfbench's engine layer.
 ///     Sharding (docs/OBSERVABILITY.md): jobs are packed into shards by
@@ -73,10 +72,7 @@
 ///     carries over.  The CLI defaults the shard budget to
 ///     engine::kDefaultShardCost, overridable with --shard-cost C;
 ///     --no-shard restores per-job scheduling.  The default CSV is
-///     byte-identical either way.  --journal-group-commit batches the
-///     journal's completion records per shard with one fsync per flush;
-///     a crash re-runs at most the unflushed tail of one shard per
-///     worker on --resume.
+///     byte-identical either way.
 ///
 /// bddmin_cli failpoints [--describe]
 ///     List the registered fault-injection points (one name per line, for
@@ -110,7 +106,8 @@
 /// Exit codes: 0 every job ok; 3 at least one job errored (genuine bug;
 /// for `stress`: an invariant failed, or --replay/--expect-failure did
 /// not reproduce); 4 no errors but some jobs degraded (resource-limit,
-/// timeout, cancelled or quarantined); 1 usage / I/O problems.
+/// timeout or cancelled); 1 usage / I/O problems.  Unknown flags are
+/// ignored, so scripts that pass retired flags keep running.
 /// ```
 #include <unistd.h>
 
@@ -443,8 +440,6 @@ engine::EngineOptions batch_options(int argc, char** argv) {
       static_cast<unsigned>(int_flag(argc, argv, "--max-retries", 0));
   opts.backoff_ms =
       static_cast<unsigned>(int_flag(argc, argv, "--backoff-ms", 0));
-  opts.hang_timeout_seconds =
-      int_flag(argc, argv, "--hang-timeout-ms", 0) / 1000.0;
   // Sharding defaults ON at the CLI (the library default is off so
   // embedders opt in); --no-shard wins over --shard-cost.
   opts.shard_cost = engine::kDefaultShardCost;
@@ -452,14 +447,12 @@ engine::EngineOptions batch_options(int argc, char** argv) {
     opts.shard_cost = std::strtoull(raw, nullptr, 10);
   }
   if (has_flag(argc, argv, "--no-shard")) opts.shard_cost = 0;
-  opts.journal_group_commit = has_flag(argc, argv, "--journal-group-commit");
   return opts;
 }
 
 int batch_exit_code(const engine::BatchReport& report) {
   // 0: every job clean.  3: at least one genuine bug.  4: no bugs, but
-  // some jobs degraded (resource-limit / timeout / cancelled /
-  // quarantined-by-the-watchdog).
+  // some jobs degraded (resource-limit / timeout / cancelled).
   if (report.count(engine::JobStatus::kError) > 0) return 3;
   return report.count(engine::JobStatus::kOk) == report.outcomes.size() ? 0 : 4;
 }
@@ -507,14 +500,12 @@ int cmd_batch(int argc, char** argv) {
               report.outcomes.size(), report.names.size(),
               report.num_threads, report.wall_seconds);
   std::printf(
-      "status: ok=%zu timeout=%zu cancelled=%zu error=%zu resource-limit=%zu"
-      " quarantined=%zu\n",
+      "status: ok=%zu timeout=%zu cancelled=%zu error=%zu resource-limit=%zu\n",
       report.count(engine::JobStatus::kOk),
       report.count(engine::JobStatus::kTimeout),
       report.count(engine::JobStatus::kCancelled),
       report.count(engine::JobStatus::kError),
-      report.count(engine::JobStatus::kResourceLimit),
-      report.count(engine::JobStatus::kQuarantined));
+      report.count(engine::JobStatus::kResourceLimit));
   std::printf("nodes: f=%zu best=%zu peak_live=%zu\n", total_f, total_min,
               peak_live);
   const std::string csv =
@@ -673,10 +664,9 @@ int main(int argc, char** argv) {
                "                   [--fallback-heuristic NAME]"
                " [--csv PATH] [--timings] [--counters]\n"
                "                   [--max-retries N] [--backoff-ms N]"
-               " [--hang-timeout-ms N] [--attempts]\n"
+               " [--attempts]\n"
                "                   [--journal PATH] [--resume] [--progress]\n"
-               "                   [--shard-cost C] [--no-shard]"
-               " [--journal-group-commit]\n"
+               "                   [--shard-cost C] [--no-shard]\n"
                "  bddmin_cli stats [batch flags]  (prints Prometheus-style"
                " telemetry counters)\n"
                "  bddmin_cli failpoints [--describe]  (lists the registered"

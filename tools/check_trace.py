@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate a Chrome trace_event JSON file emitted by BDDMIN_TRACE.
 
-Checks (mirrors bddmin::telemetry::validate_trace, plus CI-side extras):
+Checks:
   * the file parses as JSON with a "traceEvents" array
   * every event has ph/pid/tid/ts/name; "X" events also carry dur >= 0
   * spans on one (pid, tid) track are strictly nested — no partial overlap
