@@ -47,7 +47,7 @@ using Clock = std::chrono::steady_clock;
 /// by run_batch after the join.  Padded so neighbours never share a
 /// cache line.
 struct alignas(64) WorkerStats {
-  std::uint64_t busy_ns = 0;   ///< inside job attempts
+  std::uint64_t busy_ns = 0;   ///< inside jobs
   std::uint64_t steal_ns = 0;  ///< try_pop time past an own-deque miss
   std::uint64_t sink_ns = 0;   ///< journal append + delivery
   std::uint64_t jobs = 0;
@@ -103,7 +103,6 @@ class ResultSink {
 struct WorkerContext {
   const EngineOptions* opts;
   const std::vector<minimize::Heuristic>* heuristics;
-  const minimize::Heuristic* fallback;  ///< nullptr = no budget retry
   unsigned worker;
   JournalWriter* journal = nullptr; ///< completion records; nullptr = off
   WorkerStats* stats = nullptr;     ///< utilization accounting
@@ -139,7 +138,7 @@ struct WorkerContext {
 
 /// Run one heuristic under \p budget; always leaves the governor cleared.
 /// On a budget trip the partially built result is reclaimed immediately so
-/// the next attempt starts from a compact table.
+/// the next heuristic starts from a compact table.
 [[nodiscard]] Edge run_budgeted(Manager& mgr, const minimize::Heuristic& h,
                                 const ResourceLimits& budget, Edge f, Edge c) {
   mgr.governor().set_limits(budget);
@@ -159,6 +158,29 @@ struct WorkerContext {
   }
 }
 
+/// Record a resource trip at \p where: the job finishes kResourceLimit
+/// with `<where>: <limit class>` appended to its detail trail.
+void note_trip(JobOutcome& outcome, const char* where,
+               const ResourceExhausted& e) {
+  outcome.status = JobStatus::kResourceLimit;
+  if (!outcome.detail.empty()) outcome.detail += "; ";
+  outcome.detail += std::string(where) + ": " + limit_class_name(e.limit_class());
+}
+
+/// The end-of-job manager audit (structural tiers and up): findings turn
+/// the job kError.
+void audit_job(Manager& mgr, const EngineOptions& opts, JobOutcome& outcome) {
+  if (opts.audit_level < analysis::AuditLevel::kStructural) return;
+  analysis::AuditOptions aopts;
+  aopts.level = std::min(opts.audit_level, analysis::AuditLevel::kCache);
+  const analysis::AuditReport report = analysis::audit_manager(mgr, aopts);
+  if (!report.ok()) {
+    outcome.status = JobStatus::kError;
+    outcome.audit_findings += report.findings.size() + report.suppressed;
+    outcome.error = "audit: " + report.findings.front().message;
+  }
+}
+
 /// The worker's pooled manager, reset to the fresh terminal-only state for
 /// this job; constructed lazily on the first job.  reset() restores
 /// construction-time behaviour exactly (see Manager::reset), so pooling is
@@ -173,21 +195,21 @@ Manager& acquire_manager(std::unique_ptr<Manager>& pool, unsigned num_vars,
   return *pool;
 }
 
-JobOutcome process_job(const Job& job, const WorkerContext& ctx,
-                       std::unique_ptr<Manager>& pool, bool warm,
-                       DecodeScratch& decode_scratch) {
+/// Minimize one job into \p outcome (name, vars and worker already set).
+/// \p where names the stage in progress, so a throw that escapes — a
+/// resource trip outside any heuristic, or a genuine error — is reported
+/// against it by worker_loop with every fact gathered so far intact.
+void process_job(const Job& job, const WorkerContext& ctx,
+                 std::unique_ptr<Manager>& pool, bool warm,
+                 DecodeScratch& decode_scratch, JobOutcome& outcome,
+                 const char*& where) {
   const EngineOptions& opts = *ctx.opts;
   const std::vector<minimize::Heuristic>& heuristics = *ctx.heuristics;
   const auto job_start = Clock::now();
 
-  JobOutcome outcome;
-  outcome.name = job.name;
-  outcome.num_vars = job.num_vars;
-  outcome.worker = ctx.worker;
-  outcome.results.resize(heuristics.size());
   if (cancelled(opts)) {
     outcome.status = JobStatus::kCancelled;
-    return outcome;
+    return;
   }
 
   // counter_base stays all-zero on the cold path (reset() zeroes the
@@ -212,14 +234,8 @@ JobOutcome process_job(const Job& job, const WorkerContext& ctx,
     ++ctx.stats->cold_jobs;
   }
   Manager& mgr = *acquired;
-  minimize::IncSpec spec;
-  try {
-    spec = decode_job(mgr, job, decode_scratch);
-  } catch (const std::exception& e) {
-    outcome.status = JobStatus::kError;
-    outcome.error = std::string("decode: ") + e.what();
-    return outcome;
-  }
+  where = "decode";
+  const minimize::IncSpec spec = decode_job(mgr, job, decode_scratch);
   const Bdd f_pin(mgr, spec.f);
   const Bdd c_pin(mgr, spec.c);
   outcome.f_size = count_nodes(mgr, spec.f);
@@ -234,7 +250,6 @@ JobOutcome process_job(const Job& job, const WorkerContext& ctx,
   covers.reserve(heuristics.size());
   Edge best = spec.f;  // kept live by f_pin / the covers vector
   std::size_t best_size = outcome.f_size;
-  outcome.min_size = SIZE_MAX;
   for (std::size_t h = 0; h < heuristics.size(); ++h) {
     if (opts.job_timeout_seconds > 0.0 &&
         std::chrono::duration<double>(Clock::now() - job_start).count() >=
@@ -247,6 +262,7 @@ JobOutcome process_job(const Job& job, const WorkerContext& ctx,
     // cache, which is exactly the state warm reuse exists to keep.  The
     // soft-quota flush can't arise warm (quotas force the cold path).
     if ((opts.flush_between && !warm) || mgr.governor().soft_exceeded()) {
+      where = "gc";
       mgr.garbage_collect();
     }
     const auto start = Clock::now();
@@ -268,27 +284,9 @@ JobOutcome process_job(const Job& job, const WorkerContext& ctx,
         g = run_budgeted(mgr, heuristics[h], heuristic_budget(opts, job_start),
                          spec.f, spec.c);
       } catch (const ResourceExhausted& e) {
-        // Graceful degradation: keep the job alive on the best cover so far.
-        outcome.status = JobStatus::kResourceLimit;
-        if (!outcome.detail.empty()) outcome.detail += "; ";
-        outcome.detail += heuristics[h].name + ": " + limit_class_name(e.limit_class());
+        // Degrade in place: the slot keeps the smallest cover so far.
+        note_trip(outcome, heuristics[h].name.c_str(), e);
         g = best;
-        if (ctx.fallback != nullptr &&
-            ctx.fallback->name != heuristics[h].name) {
-          try {
-            g = run_budgeted(mgr, *ctx.fallback,
-                             heuristic_budget(opts, job_start), spec.f, spec.c);
-            outcome.detail += " (retried on " + ctx.fallback->name + ")";
-          } catch (const ResourceExhausted& e2) {
-            outcome.detail += " (retry on " + ctx.fallback->name + ": " +
-                              limit_class_name(e2.limit_class()) + ")";
-            g = best;
-          } catch (const std::exception& e2) {
-            outcome.status = JobStatus::kError;
-            outcome.error = ctx.fallback->name + ": " + e2.what();
-            break;
-          }
-        }
       } catch (const std::exception& e) {
         outcome.status = JobStatus::kError;
         outcome.error = heuristics[h].name + ": " + e.what();
@@ -296,6 +294,7 @@ JobOutcome process_job(const Job& job, const WorkerContext& ctx,
       }
       stop = Clock::now();
       covers.emplace_back(mgr, g);
+      where = "validate";
       {
         const telemetry::PhaseScope vphase(telemetry::Phase::kValidation);
         const telemetry::TraceScope vspan("validate", "engine");
@@ -320,30 +319,25 @@ JobOutcome process_job(const Job& job, const WorkerContext& ctx,
     outcome.results[h].seconds =
         std::chrono::duration<double>(stop - start).count();
     outcome.results[h].phases = profile;
-    outcome.min_size = std::min(outcome.min_size, outcome.results[h].size);
+    outcome.min_size = outcome.min_size == 0
+                           ? outcome.results[h].size
+                           : std::min(outcome.min_size, outcome.results[h].size);
     if (outcome.results[h].size < best_size) {
       best = g;
       best_size = outcome.results[h].size;
     }
   }
-  if (outcome.min_size == SIZE_MAX) outcome.min_size = 0;
 
   // Audit the surviving manager for clean jobs *and* degraded ones — the
   // whole point of the strong abort guarantee is that a budget trip leaves
   // nothing for the auditor to find.
-  if ((outcome.status == JobStatus::kOk ||
-       outcome.status == JobStatus::kResourceLimit) &&
-      opts.audit_level >= analysis::AuditLevel::kStructural) {
-    analysis::AuditOptions aopts;
-    aopts.level = std::min(opts.audit_level, analysis::AuditLevel::kCache);
-    const analysis::AuditReport report = analysis::audit_manager(mgr, aopts);
-    if (!report.ok()) {
-      outcome.status = JobStatus::kError;
-      outcome.audit_findings += report.findings.size() + report.suppressed;
-      outcome.error = "audit: " + report.findings.front().message;
-    }
+  if (outcome.status == JobStatus::kOk ||
+      outcome.status == JobStatus::kResourceLimit) {
+    where = "audit";
+    audit_job(mgr, opts, outcome);
   }
   if (outcome.status == JobStatus::kOk && opts.lower_bound_cubes > 0) {
+    where = "lower-bound";
     const minimize::LowerBoundResult lb = minimize::constrain_lower_bound(
         mgr, spec.f, spec.c, opts.lower_bound_cubes);
     outcome.lower_bound = lb.bound;
@@ -353,54 +347,6 @@ JobOutcome process_job(const Job& job, const WorkerContext& ctx,
   telemetry::global().add(outcome.counters);
   outcome.seconds =
       std::chrono::duration<double>(Clock::now() - job_start).count();
-  return outcome;
-}
-
-/// Transient-failure classification for the retry loop.  Returns the
-/// retry_reason label, or "" for outcomes that must not be retried.
-/// kError always retries (real transients — a torn pooled manager, an
-/// injected corruption — land here; deterministic errors just fail
-/// identically `max_retries` more times, keeping attempts deterministic).
-/// kResourceLimit retries only for classes that are genuinely transient:
-/// an out-of-memory degrade, or a deadline when no job timeout is
-/// configured (then the deadline cannot be the caller's own budget).
-/// Node/step-limit degrades are deterministic and final.
-[[nodiscard]] std::string retry_class(const JobOutcome& outcome,
-                                      const EngineOptions& opts) {
-  switch (outcome.status) {
-    case JobStatus::kError:
-      return "error";
-    case JobStatus::kResourceLimit:
-      if (outcome.detail.find("out-of-memory") != std::string::npos) {
-        return "out-of-memory";
-      }
-      if (opts.job_timeout_seconds == 0.0 &&
-          outcome.detail.find("deadline") != std::string::npos) {
-        return "deadline";
-      }
-      return "";
-    default:
-      return "";
-  }
-}
-
-/// Exponential backoff before retry \p attempt of job \p index:
-/// `backoff_ms * 2^(attempt-1)` capped at 10 s, plus a deterministic
-/// jitter in [0, backoff_ms) hashed from (index, attempt) — workers
-/// retrying the same transient cause (e.g. memory pressure) decorrelate
-/// without introducing nondeterminism.
-void backoff_sleep(const EngineOptions& opts, std::size_t index,
-                   unsigned attempt) {
-  if (opts.backoff_ms == 0) return;
-  const unsigned shift = std::min(attempt - 1, 16u);
-  std::uint64_t delay_ms =
-      std::min<std::uint64_t>(std::uint64_t{opts.backoff_ms} << shift, 10'000);
-  std::uint64_t h = (static_cast<std::uint64_t>(index) << 32) ^ attempt;
-  h += 0x9e3779b97f4a7c15ull;
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
-  delay_ms += (h ^ (h >> 31)) % opts.backoff_ms;
-  std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
 }
 
 void worker_loop(WorkStealingQueue& queue, std::span<const Job> jobs,
@@ -433,73 +379,62 @@ void worker_loop(WorkStealingQueue& queue, std::span<const Job> jobs,
       stats.steal_ns += pop_ns;
     }
     // Whether the *next* job in this shard may start warm: the previous
-    // job must have completed cleanly first-attempt on this manager.
-    // Resets via exceptions (pool dropped), retries and escape hatches
-    // all fall back to cold deterministically.
+    // job must have completed kOk on this manager.  Contained throws
+    // (pool dropped), degrades and escape hatches all fall back to cold
+    // deterministically.
     bool warm_ready = false;
     for (std::uint32_t j = 0; j < shard.count; ++j) {
       const std::size_t index = (*ctx.to_run)[shard.first + j];
-      const telemetry::TraceScope span(std::string("job:") + jobs[index].name,
-                                       "engine");
-      unsigned attempt = 1;
-      std::string first_retry_reason;
-      for (;;) {
-        JobOutcome outcome;
-        const std::uint64_t busy_start = stat_now_ns();
-        // The warm decision, per attempt: retries always start cold, and
-        // the node watermark bounds table garbage across a long shard.
-        const bool warm =
-            ctx.warm_capable && warm_ready && attempt == 1 &&
-            pool != nullptr &&
-            pool->num_vars() == std::max(jobs[index].num_vars, 1u) &&
-            pool->allocated_nodes() < ctx.opts->shard_node_watermark;
-        try {
-          outcome = process_job(jobs[index], ctx, pool, warm, decode_scratch);
-        } catch (const std::exception& e) {
-          // Containment: a throw outside the budgeted sections (e.g. the
-          // manager constructor running out of memory) fails the one job, not
-          // the batch.  The results vector is sized so the CSV keeps its shape.
-          outcome.name = jobs[index].name;
-          outcome.num_vars = jobs[index].num_vars;
-          outcome.worker = ctx.worker;
-          outcome.status = JobStatus::kError;
-          outcome.error = e.what();
-          outcome.results.resize(ctx.heuristics->size());
-          // An uncontained throw may have left the pooled manager mid-mutation;
-          // drop it rather than reuse a possibly inconsistent instance.
-          pool.reset();
-        }
-        stats.busy_ns += stat_now_ns() - busy_start;
-
-        const std::string reason = retry_class(outcome, *ctx.opts);
-        if (!reason.empty() && attempt <= ctx.opts->max_retries) {
-          if (first_retry_reason.empty()) first_retry_reason = reason;
-          backoff_sleep(*ctx.opts, index, attempt);  // idle, not busy
-          ++attempt;
-          continue;  // fresh attempt, fresh JobOutcome
-        }
-
-        outcome.attempts = attempt;
-        outcome.retry_reason = first_retry_reason;
-        ++stats.jobs;
-        // The next job in this shard may only start warm off a clean
-        // first-attempt success — anything else leaves reuse undefined.
-        warm_ready = outcome.status == JobStatus::kOk && attempt == 1;
-        const std::uint64_t sink_start = stat_now_ns();
-        if (const auto hit = BDDMIN_FAILPOINT("sink_drain_hang")) {
-          // Bounded stall in the delivery path (lock *not* held).
-          std::this_thread::sleep_for(std::chrono::milliseconds(hit.value));
-        }
-        // Journal before the sink: once an outcome is observable it is
-        // also durable.  Cancelled jobs are deliberately not journalled —
-        // a resume after a cancellation re-runs them.
-        if (ctx.journal != nullptr && outcome.status != JobStatus::kCancelled) {
-          ctx.journal->append_completed(index, outcome);
-        }
-        sink.deliver(index, std::move(outcome));
-        stats.sink_ns += stat_now_ns() - sink_start;
-        break;
+      const Job& job = jobs[index];
+      const telemetry::TraceScope span(std::string("job:") + job.name, "engine");
+      const std::uint64_t busy_start = stat_now_ns();
+      // The node watermark bounds table garbage across a long shard.
+      const bool warm =
+          ctx.warm_capable && warm_ready && pool != nullptr &&
+          pool->num_vars() == std::max(job.num_vars, 1u) &&
+          pool->allocated_nodes() < ctx.opts->shard_node_watermark;
+      JobOutcome outcome;
+      outcome.name = job.name;
+      outcome.num_vars = job.num_vars;
+      outcome.worker = ctx.worker;
+      // Sized up front so the CSV keeps its shape whatever stage a throw
+      // cuts short.
+      outcome.results.resize(ctx.heuristics->size());
+      const char* where = "manager";
+      try {
+        process_job(job, ctx, pool, warm, decode_scratch, outcome, where);
+      } catch (const ResourceExhausted& e) {
+        // A trip outside any heuristic (manager setup, decode, the GC
+        // flush, validation) degrades the job where it stands.  The strong
+        // guarantee leaves the pooled manager consistent; the audit, when
+        // configured, checks exactly that.
+        note_trip(outcome, where, e);
+        if (pool != nullptr) audit_job(*pool, *ctx.opts, outcome);
+      } catch (const std::exception& e) {
+        // Containment: a genuine error fails the one job, not the batch.
+        outcome.status = JobStatus::kError;
+        outcome.error = std::string(where) + ": " + e.what();
+        // An uncontained throw may have left the pooled manager
+        // mid-mutation; drop it rather than reuse a possibly inconsistent
+        // instance.
+        pool.reset();
       }
+      stats.busy_ns += stat_now_ns() - busy_start;
+      ++stats.jobs;
+      warm_ready = outcome.status == JobStatus::kOk;
+      const std::uint64_t sink_start = stat_now_ns();
+      if (const auto hit = BDDMIN_FAILPOINT("sink_drain_hang")) {
+        // Bounded stall in the delivery path (lock *not* held).
+        std::this_thread::sleep_for(std::chrono::milliseconds(hit.value));
+      }
+      // Journal before the sink: once an outcome is observable it is
+      // also durable.  Cancelled jobs are deliberately not journalled —
+      // a resume after a cancellation re-runs them.
+      if (ctx.journal != nullptr && outcome.status != JobStatus::kCancelled) {
+        ctx.journal->append_completed(index, outcome);
+      }
+      sink.deliver(index, std::move(outcome));
+      stats.sink_ns += stat_now_ns() - sink_start;
     }
   }
 }
@@ -581,20 +516,6 @@ BatchReport run_batch(std::span<const Job> jobs, const EngineOptions& opts) {
     if (!effective.heuristic.empty()) {
       heuristics = {minimize::heuristic_by_name(heuristics, effective.heuristic)};
     }
-  }
-
-  minimize::Heuristic fallback_storage;
-  const minimize::Heuristic* fallback = nullptr;
-  if (!effective.fallback_heuristic.empty()) {
-    // Prefer a heuristic from the selected set; otherwise the full registry.
-    try {
-      fallback_storage =
-          minimize::heuristic_by_name(heuristics, effective.fallback_heuristic);
-    } catch (const std::out_of_range&) {
-      fallback_storage = minimize::heuristic_by_name(
-          minimize::all_heuristics(), effective.fallback_heuristic);
-    }
-    fallback = &fallback_storage;
   }
 
   unsigned threads =
@@ -725,9 +646,9 @@ BatchReport run_batch(std::span<const Job> jobs, const EngineOptions& opts) {
     for (unsigned w = 0; w < threads; ++w) {
       pool.emplace_back([&, w] {
         telemetry::Tracer::set_thread_name("worker-" + std::to_string(w));
-        const WorkerContext ctx{&effective, &heuristics, fallback,
-                                w,          journal.get(), &wstats[w],
-                                &to_run,    &plan,         warm_capable};
+        const WorkerContext ctx{&effective, &heuristics, w,
+                                journal.get(), &wstats[w], &to_run,
+                                &plan,         warm_capable};
         worker_loop(queue, jobs, sink, ctx);
       });
     }
@@ -791,7 +712,7 @@ BatchReport run_batch(std::span<const Job> jobs, const EngineOptions& opts) {
 }
 
 std::string report_csv(const BatchReport& report, bool include_timings,
-                       bool include_counters, bool include_attempts) {
+                       bool include_counters) {
   using telemetry::Counter;
   std::ostringstream os;
   os << "job,name,vars,status,f_size,c_size,c_onset,min,lower_bound,"
@@ -812,7 +733,6 @@ std::string report_csv(const BatchReport& report, bool include_timings,
     for (const std::string& name : report.names) os << ",sec_" << name;
     os << ",job_seconds,worker";
   }
-  if (include_attempts) os << ",attempts,retry_reason";
   os << "\n";
   char buf[32];
   for (std::size_t i = 0; i < report.outcomes.size(); ++i) {
@@ -844,9 +764,6 @@ std::string report_csv(const BatchReport& report, bool include_timings,
       }
       std::snprintf(buf, sizeof buf, "%.6f", o.seconds);
       os << ',' << buf << ',' << o.worker;
-    }
-    if (include_attempts) {
-      os << ',' << o.attempts << ',' << harness::csv_field(o.retry_reason);
     }
     os << "\n";
   }

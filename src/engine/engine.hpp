@@ -25,15 +25,15 @@
 /// Sharding (`shard_cost > 0`): the submission stream is packed into
 /// cost-balanced shards (engine/shard.hpp) and the work-stealing deque
 /// dispatches shard indices, so one scheduling decision covers dozens of
-/// tiny jobs.  Retry, timeout, cancellation, dedup and journaling all
-/// stay strictly per-job.  Within a shard the pooled manager
+/// tiny jobs.  Timeout, cancellation, dedup and journaling all stay
+/// strictly per-job.  Within a shard the pooled manager
 /// additionally skips reset() between consecutive jobs that share
 /// num_vars — the unique table and the 2-way computed cache stay *warm*
 /// across jobs — unless an escape hatch forces a cold start:
 /// node/step quotas configured (quota trips depend on allocation state),
 /// audit_level >= kStructural (the auditor must see a one-job table),
-/// the allocated-node watermark exceeded, or a retry attempt.  Warm
-/// reuse never changes covers, sizes, statuses or audit verdicts (BDDs
+/// the allocated-node watermark exceeded, or a previous job that did not
+/// finish kOk.  Warm reuse never changes covers, sizes, statuses or audit verdicts (BDDs
 /// are canonical; cached results are the results), so the default CSV is
 /// byte-identical at any thread count *and* with sharding on or off.
 /// The opt-in counters block (cache hits, steps, peak_live) measures the
@@ -46,24 +46,19 @@
 /// ResourceGovernor (node quota, step budget, in-operation deadline).  A
 /// budget trip aborts only that heuristic — the manager stays consistent
 /// (strong guarantee, auditable), partial results are garbage-collected,
-/// and the job *degrades* instead of failing: the tripped slot falls back
-/// to the best previously validated cover (or the always-valid trivial
-/// cover f), optionally retrying once on `fallback_heuristic` with a fresh
-/// budget.  Such jobs finish kResourceLimit with the limit class recorded
-/// in `JobOutcome::detail`; kError is reserved for genuine bugs.
+/// and the job *degrades in place* instead of failing: the tripped slot
+/// takes the smallest previously validated cover (or the always-valid
+/// trivial cover f — Prop. 6's "return the smaller of the two").  A trip
+/// outside any heuristic (manager setup, decode, the GC flush between
+/// heuristics, validation) ends the job there.  Either way the job
+/// finishes kResourceLimit with `<where>: <limit class>` recorded in
+/// `JobOutcome::detail`; nothing is re-run, and kError is reserved for
+/// genuine bugs and corrupt payloads.
 ///
 /// Resilience (failpoint-tested; see docs/ROBUSTNESS.md):
 ///  * **deadline** — `job_timeout_seconds > 0` is the one way a job is
 ///    cut short: the governor polls the remaining allowance inside the
 ///    budgeted recursions, and the job degrades to its best cover.
-///  * **retry** — `max_retries > 0` re-runs a job whose failure class is
-///    transient (kError, an out-of-memory degrade, or an injected
-///    deadline when no job timeout is configured) with
-///    exponential backoff + deterministic jitter.  Each attempt starts
-///    from a fresh JobOutcome, so the *final* outcome of a retried job is
-///    identical to a never-faulted run; `attempts`/`retry_reason` are
-///    recorded but only emitted into the CSV with `include_attempts`
-///    (which failure hits which job is schedule-dependent under faults).
 ///  * **journal** — `journal_path` writes an append-only, checksummed,
 ///    fsync'd record of submitted jobs and completed outcomes; `resume`
 ///    (from journal::read_journal) pre-fills completed outcomes and
@@ -92,9 +87,9 @@ enum class JobStatus : std::uint8_t {
   kOk = 0,         ///< all heuristics ran and validated
   kTimeout,        ///< per-job deadline expired between heuristics
   kCancelled,      ///< batch cancellation observed before the job started
-  kError,          ///< decode failure, thrown BDDMIN_CHECK, bad cover or audit finding
-  kResourceLimit,  ///< a heuristic exhausted its budget; the job degraded to
-                   ///< a still-valid fallback cover (see JobOutcome::detail)
+  kError,          ///< corrupt payload, thrown BDDMIN_CHECK, bad cover or audit finding
+  kResourceLimit,  ///< a resource limit tripped; the job degraded in place,
+                   ///< keeping only validated covers (see JobOutcome::detail)
 };
 
 [[nodiscard]] const char* job_status_name(JobStatus s) noexcept;
@@ -113,7 +108,7 @@ struct EngineOptions {
   double job_timeout_seconds = 0.0;
   /// Hard quota on the worker manager's allocated nodes (live + dead),
   /// enforced while a heuristic runs; tripping it aborts the heuristic with
-  /// bddmin::NodeLimit and degrades the job to its fallback cover.  0 means
+  /// bddmin::NodeLimit and degrades the job in place.  0 means
   /// unlimited; when 0, the BDDMIN_NODE_LIMIT environment variable (if set)
   /// supplies a fleet-wide default.  A soft quota at 3/4 of the hard one
   /// triggers a garbage collection between heuristics even when
@@ -124,11 +119,6 @@ struct EngineOptions {
   /// deterministic, machine-independent effort bound.  0 means unlimited;
   /// when 0, BDDMIN_STEP_LIMIT (if set) supplies a default.
   std::uint64_t step_limit = 0;
-  /// Registry name of a cheaper heuristic to retry once — with a fresh
-  /// budget — when a heuristic exhausts its budget (e.g. "restr" as the
-  /// fallback for "osm_td").  Empty disables the retry; the job then keeps
-  /// the best previously validated cover (or the trivial cover f).
-  std::string fallback_heuristic;
   /// BddAudit depth after each job (1-3 audit the worker's manager;
   /// level 4 additionally replaces the plain cover check with the
   /// witness-reporting contract audit).  Findings turn the job kError.
@@ -167,14 +157,6 @@ struct EngineOptions {
   /// not-yet-started job completes immediately as kCancelled (jobs are
   /// atomic — a started job always runs to its own completion).
   std::shared_ptr<std::atomic<bool>> cancel;
-  /// Per-job retry budget for transient failures (kError, out-of-memory
-  /// and injected-deadline degrades; see the header comment).  0 keeps
-  /// the historical fail-on-first-error behaviour.
-  unsigned max_retries = 0;
-  /// Base backoff before retry k: `backoff_ms * 2^(k-1)` ms (capped at
-  /// 10 s) plus a deterministic jitter in [0, backoff_ms) derived from
-  /// (job index, attempt).  0 retries immediately.
-  unsigned backoff_ms = 0;
   /// Write-ahead journal path.  Non-empty: the batch truncates the file,
   /// records every submitted job up front and every outcome as it
   /// completes (checksummed, fsync'd).  See engine/journal.hpp.
@@ -207,10 +189,10 @@ struct JobOutcome {
   unsigned num_vars = 0;
   JobStatus status = JobStatus::kOk;
   std::string error;                     ///< diagnostic for kError only
-  /// Resource-limit trail for kResourceLimit: which heuristic tripped which
-  /// limit class and what the degradation did, e.g.
-  /// "osm_td: step-limit (retried on restr)".  Deterministic for the
-  /// node/step limit classes.
+  /// Resource-limit trail for kResourceLimit: where each trip happened and
+  /// its limit class, e.g. "osm_td: step-limit; opt_lv: step-limit" or
+  /// "decode: out-of-memory".  Deterministic for the node/step limit
+  /// classes.
   std::string detail;
   std::size_t f_size = 0;
   std::size_t c_size = 0;
@@ -231,21 +213,13 @@ struct JobOutcome {
   telemetry::CounterSnapshot counters;
   unsigned worker = 0;                   ///< informational; non-deterministic
   double seconds = 0.0;                  ///< total job wall time
-  /// How many times the job ran (1 = no retry).  Deterministic in
-  /// fault-free runs and for deterministic failure classes; under
-  /// injected or real transient faults the victim job is
-  /// schedule-dependent, which is why the CSV column is opt-in.
-  unsigned attempts = 1;
-  /// Failure class of the *first* retried attempt ("error",
-  /// "out-of-memory", "deadline"); empty when attempts == 1.
-  std::string retry_reason;
 };
 
 /// Wall-clock decomposition of one worker's life inside a batch: every
 /// nanosecond between spawn and join is attributed to exactly one of
-/// busy (inside a job attempt), steal-search (hunting other deques after
+/// busy (inside a job), steal-search (hunting other deques after
 /// missing its own), sink (journal append + result delivery) or idle
-/// (everything else: retry backoff, waiting out the drain).  Busy, steal
+/// (everything else: waiting out the drain).  Busy, steal
 /// and sink are measured with the monotonic clock; idle is the
 /// remainder against the batch wall time, clamped at zero.  All seconds
 /// are zero when telemetry is compiled out; the event counts survive.
@@ -305,12 +279,9 @@ struct BatchReport {
 /// and per-heuristic phase step splits — deterministic across thread
 /// counts (all zeros when telemetry is compiled out) but sensitive to
 /// the shard mode: warm computed caches do less work, which is the
-/// point.  `include_attempts` appends the retry columns (`attempts`,
-/// `retry_reason`) — deterministic only when no transient fault fired
-/// (see JobOutcome::attempts).
+/// point.
 [[nodiscard]] std::string report_csv(const BatchReport& report,
                                      bool include_timings = false,
-                                     bool include_counters = false,
-                                     bool include_attempts = false);
+                                     bool include_counters = false);
 
 }  // namespace bddmin::engine

@@ -12,7 +12,7 @@
 namespace bddmin::engine {
 namespace {
 
-constexpr const char kHeader[] = "BDDMIN-JOURNAL v1";
+constexpr const char kHeader[] = "BDDMIN-JOURNAL v2";
 
 // ---- Field escaping ----------------------------------------------------
 // One record = one line.  Fields are comma-joined; any byte that could
@@ -198,8 +198,6 @@ std::string encode_outcome_record(const JobOutcome& outcome) {
   put_u64(out, outcome.peak_live);
   put_u64(out, outcome.worker);
   put_double(out, outcome.seconds);
-  put_u64(out, outcome.attempts);
-  put(out, outcome.retry_reason);
   put_u64(out, telemetry::kNumCounters);
   for (const std::uint64_t v : outcome.counters.values) put_u64(out, v);
   put_u64(out, outcome.results.size());
@@ -238,8 +236,6 @@ JobOutcome decode_outcome_record(const std::string& payload) {
   outcome.peak_live = cur.next_u64();
   outcome.worker = static_cast<unsigned>(cur.next_u64());
   outcome.seconds = cur.next_double();
-  outcome.attempts = static_cast<unsigned>(cur.next_u64());
-  outcome.retry_reason = cur.next_string();
   const std::uint64_t num_counters = cur.next_u64();
   if (num_counters != telemetry::kNumCounters) {
     throw std::invalid_argument(

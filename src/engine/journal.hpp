@@ -4,7 +4,7 @@
 ///
 /// Format (text, line-oriented, append-only):
 ///
-///     BDDMIN-JOURNAL v1
+///     BDDMIN-JOURNAL v2
 ///     J <index> <crc32-hex> <escaped job payload>
 ///     C <index> <crc32-hex> <escaped outcome payload>
 ///

@@ -321,7 +321,6 @@ void run_degrade_batch(StressContext& ctx) {
   eo.num_threads = 1 + static_cast<unsigned>(rng.below(2));
   eo.node_limit = 24 + rng.below(32);
   eo.step_limit = 40 + rng.below(100);
-  if (rng.chance(0.5)) eo.fallback_heuristic = "restr";
   const engine::BatchReport rep = engine::run_batch(jobs, eo);
   ctx.scratch = check_statuses(
       rep, {engine::JobStatus::kOk, engine::JobStatus::kResourceLimit});
@@ -492,8 +491,9 @@ std::string inv_fault_detected(StressContext& ctx) {
 /// BDD work runs: each injects a ResourceExhausted the strong-abort
 /// machinery already handles.  minimize_deadline sits at the engine's
 /// per-heuristic boundary, so only fp-batch reaches it.  The
-/// latency/corruption/process-death sites are deliberately excluded —
-/// they need the engine's retry harness around them.
+/// latency/corruption/process-death sites are deliberately excluded: a
+/// stall, a corrupt payload or a process exit is not a resource trip, so
+/// nothing degrades it in place.
 constexpr const char* kSafeRandomPoints[] = {
     "unique_insert_oom", "bucket_grow_oom", "gc_oom", "minimize_deadline"};
 
@@ -589,11 +589,10 @@ void run_fp_ops(StressContext& ctx) {
   ctx.note_u64(pool.size());
 }
 
-/// A small batch under armed failpoints with a retry budget: the engine
-/// must never lose or hang a job, every outcome must carry a coherent
-/// retry trail, and the worker managers must come back audit-clean.
-/// Statuses and attempt counts are fire-dependent — validated, never
-/// digested.
+/// A small batch under armed failpoints: the engine must never lose or
+/// hang a job, every injected trip must degrade its job in place (never
+/// kError), and the worker managers must come back audit-clean.
+/// Statuses are fire-dependent — validated, never digested.
 void run_fp_batch(StressContext& ctx) {
   StepRng& rng = ctx.rng();
   const std::vector<engine::Job> jobs =
@@ -602,23 +601,14 @@ void run_fp_batch(StressContext& ctx) {
   eo.heuristic = "restr";
   eo.num_threads = 1 + static_cast<unsigned>(rng.below(2));
   eo.audit_level = analysis::AuditLevel::kRefcount;
-  eo.max_retries = 1 + static_cast<unsigned>(rng.below(2));
   const engine::BatchReport rep = engine::run_batch(jobs, eo);
   ctx.scratch = check_statuses(
-      rep, {engine::JobStatus::kOk, engine::JobStatus::kError,
-            engine::JobStatus::kResourceLimit});
+      rep, {engine::JobStatus::kOk, engine::JobStatus::kResourceLimit});
   if (!ctx.scratch.empty()) return;
   for (const engine::JobOutcome& o : rep.outcomes) {
-    if (o.attempts < 1 || o.attempts > eo.max_retries + 1) {
+    if (o.audit_findings != 0) {
       ctx.scratch = "job '" + o.name + "' reports " +
-                    std::to_string(o.attempts) + " attempts with budget " +
-                    std::to_string(eo.max_retries);
-      return;
-    }
-    if ((o.attempts > 1) != !o.retry_reason.empty()) {
-      ctx.scratch = "job '" + o.name + "': attempts=" +
-                    std::to_string(o.attempts) + " but retry_reason='" +
-                    o.retry_reason + "'";
+                    std::to_string(o.audit_findings) + " audit findings";
       return;
     }
   }
@@ -734,7 +724,7 @@ StressFsm make_failpoints() {
   return build_hub(
       "failpoints",
       "arm/disarm the fault-injection registry mid-walk; ops, audits and "
-      "retrying batches must survive injected OOM/deadline faults",
+      "batches must survive injected OOM/deadline faults",
       {{"fp-arm", run_fp_arm, inv_pool_audit, 2.0},
        {"fp-ops", run_fp_ops, inv_pool_audit, 4.0},
        {"fp-batch", run_fp_batch, inv_scratch, 2.0},

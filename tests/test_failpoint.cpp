@@ -1,7 +1,7 @@
 /// \file test_failpoint.cpp
 /// \brief Failpoint registry semantics (modes, arming grammar, env
 /// arming) and the batch engine's resilience around injected faults:
-/// retry/backoff accounting, audit-clean recovery.
+/// in-place degradation and audit-clean recovery.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -206,49 +206,11 @@ std::vector<engine::Job> small_jobs(unsigned count) {
   return jobs;
 }
 
-TEST_F(FailPointTest, InjectedDeadlineRetriesToACleanOutcome) {
-  const std::vector<engine::Job> jobs = small_jobs(1);
-  engine::EngineOptions eo;
-  eo.heuristic = "restr";
-  eo.num_threads = 1;
-  eo.max_retries = 1;
-
-  const engine::BatchReport clean = engine::run_batch(jobs, eo);
-  ASSERT_EQ(clean.outcomes[0].status, engine::JobStatus::kOk);
-  EXPECT_EQ(clean.outcomes[0].attempts, 1u);
-  EXPECT_EQ(clean.outcomes[0].retry_reason, "");
-
-  failpoints().arm_from_spec("minimize_deadline:once");
-  const engine::BatchReport faulted = engine::run_batch(jobs, eo);
-  EXPECT_EQ(faulted.outcomes[0].status, engine::JobStatus::kOk);
-  EXPECT_EQ(faulted.outcomes[0].attempts, 2u);
-  EXPECT_EQ(faulted.outcomes[0].retry_reason, "deadline");
-  // The retried attempt starts from a fresh outcome, so the default CSV
-  // (no attempts columns) is byte-identical to the never-faulted run.
-  EXPECT_EQ(engine::report_csv(faulted), engine::report_csv(clean));
-}
-
-TEST_F(FailPointTest, RetryBudgetExhaustedKeepsTheDegradedOutcome) {
-  const std::vector<engine::Job> jobs = small_jobs(1);
-  engine::EngineOptions eo;
-  eo.heuristic = "restr";
-  eo.num_threads = 1;
-  eo.max_retries = 1;
-  // Fires on both the first attempt and the retry.
-  failpoints().arm_from_spec("minimize_deadline:random:1.0");
-  const engine::BatchReport rep = engine::run_batch(jobs, eo);
-  EXPECT_EQ(rep.outcomes[0].status, engine::JobStatus::kResourceLimit);
-  EXPECT_EQ(rep.outcomes[0].attempts, 2u);
-  EXPECT_EQ(rep.outcomes[0].retry_reason, "deadline");
-  EXPECT_NE(rep.outcomes[0].detail.find("deadline"), std::string::npos);
-}
-
 TEST_F(FailPointTest, InjectedOomLeavesManagersAuditClean) {
   const std::vector<engine::Job> jobs = small_jobs(4);
   engine::EngineOptions eo;
   eo.heuristic = "restr";
   eo.num_threads = 1;
-  eo.max_retries = 2;
   eo.audit_level = analysis::AuditLevel::kCache;
   failpoints().arm_from_spec("unique_insert_oom:nth:40");
   const engine::BatchReport rep = engine::run_batch(jobs, eo);
@@ -259,17 +221,32 @@ TEST_F(FailPointTest, InjectedOomLeavesManagersAuditClean) {
   }
 }
 
-TEST_F(FailPointTest, AttemptsColumnsAreOptIn) {
+TEST_F(FailPointTest, OomOutsideAHeuristicDegradesTheJob) {
+  // gc_oom fires in the GC flush before the first heuristic and
+  // unique_insert_oom in decode: neither is inside a heuristic, and both
+  // must finish the job resource-limit, never error.
   const std::vector<engine::Job> jobs = small_jobs(1);
   engine::EngineOptions eo;
   eo.heuristic = "restr";
-  const engine::BatchReport rep = engine::run_batch(jobs, eo);
-  const std::string plain = engine::report_csv(rep);
-  EXPECT_EQ(plain.find("attempts"), std::string::npos);
-  const std::string with =
-      engine::report_csv(rep, false, false, /*include_attempts=*/true);
-  EXPECT_NE(with.find(",attempts,retry_reason"), std::string::npos);
-  EXPECT_NE(with.find(",1,"), std::string::npos);
+  eo.num_threads = 1;
+  eo.audit_level = analysis::AuditLevel::kCache;
+  const struct {
+    const char* spec;
+    const char* detail;
+  } cases[] = {{"gc_oom:once", "gc: out-of-memory"},
+               {"unique_insert_oom:once", "decode: out-of-memory"}};
+  for (const auto& c : cases) {
+    failpoints().arm_from_spec(c.spec);
+    const engine::BatchReport rep = engine::run_batch(jobs, eo);
+    failpoints().disarm_all();
+    ASSERT_EQ(rep.outcomes.size(), 1u);
+    const engine::JobOutcome& o = rep.outcomes[0];
+    EXPECT_EQ(o.status, engine::JobStatus::kResourceLimit)
+        << c.spec << ": " << engine::job_status_name(o.status) << " "
+        << o.error;
+    EXPECT_EQ(o.detail, c.detail) << c.spec;
+    EXPECT_EQ(o.audit_findings, 0u) << c.spec;
+  }
 }
 
 }  // namespace

@@ -34,8 +34,7 @@
 ///                  [--seed S] [--threads T] [--heuristic NAME]
 ///                  [--audit-level L] [--timeout-ms M] [--lower-bound]
 ///                  [--node-limit N] [--step-limit N]
-///                  [--fallback-heuristic NAME] [--csv PATH] [--timings]
-///                  [--max-retries N] [--backoff-ms N] [--attempts]
+///                  [--csv PATH] [--timings] [--counters]
 ///                  [--journal PATH] [--resume]
 ///                  [--progress] [--shard-cost C] [--no-shard]
 ///     Shard a set of minimization jobs across a worker pool (each worker
@@ -45,16 +44,14 @@
 ///     from --seed; job k uses seed S+k).  --node-limit/--step-limit put
 ///     each heuristic run under a resource budget (defaults from
 ///     BDDMIN_NODE_LIMIT / BDDMIN_STEP_LIMIT); a tripped run degrades the
-///     job to a still-valid cover — retried once on --fallback-heuristic
-///     when given — and the job finishes `resource-limit`, not `error`.
+///     job in place to the smallest validated cover so far (or f) and the
+///     job finishes `resource-limit`, not `error`.
 ///     The CSV is byte-identical for any --threads value; --timings
 ///     appends the non-deterministic timing columns and --counters the
 ///     deterministic telemetry counter / phase-step columns.
 ///     Resilience (docs/ROBUSTNESS.md): --timeout-ms is the one way to
-///     cut a slow job short (it degrades to its best cover so far);
-///     --max-retries re-runs jobs with a transient failure class, backing
-///     off --backoff-ms * 2^k with deterministic jitter; --attempts
-///     appends the `attempts`/`retry_reason` CSV columns.  --journal PATH
+///     cut a slow job short (it degrades to its best cover so far).
+///     A faulted job is never re-run.  --journal PATH
 ///     keeps a checksummed write-ahead journal of the batch; after a
 ///     crash, `--journal PATH --resume` re-runs only the incomplete jobs
 ///     and produces a CSV byte-identical to an uninterrupted run.
@@ -433,13 +430,6 @@ engine::EngineOptions batch_options(int argc, char** argv) {
   opts.node_limit =
       static_cast<std::size_t>(size_flag(argc, argv, "--node-limit"));
   opts.step_limit = size_flag(argc, argv, "--step-limit");
-  if (const char* name = flag_value(argc, argv, "--fallback-heuristic")) {
-    opts.fallback_heuristic = name;
-  }
-  opts.max_retries =
-      static_cast<unsigned>(int_flag(argc, argv, "--max-retries", 0));
-  opts.backoff_ms =
-      static_cast<unsigned>(int_flag(argc, argv, "--backoff-ms", 0));
   // Sharding defaults ON at the CLI (the library default is off so
   // embedders opt in); --no-shard wins over --shard-cost.
   opts.shard_cost = engine::kDefaultShardCost;
@@ -510,8 +500,7 @@ int cmd_batch(int argc, char** argv) {
               peak_live);
   const std::string csv =
       engine::report_csv(report, has_flag(argc, argv, "--timings"),
-                         has_flag(argc, argv, "--counters"),
-                         has_flag(argc, argv, "--attempts"));
+                         has_flag(argc, argv, "--counters"));
   if (const char* path = flag_value(argc, argv, "--csv")) {
     if (!harness::write_text_file(path, csv)) {
       std::fprintf(stderr, "cannot write %s\n", path);
@@ -661,10 +650,7 @@ int main(int argc, char** argv) {
                " [--audit-level L]\n"
                "                   [--timeout-ms M] [--lower-bound]"
                " [--node-limit N] [--step-limit N]\n"
-               "                   [--fallback-heuristic NAME]"
-               " [--csv PATH] [--timings] [--counters]\n"
-               "                   [--max-retries N] [--backoff-ms N]"
-               " [--attempts]\n"
+               "                   [--csv PATH] [--timings] [--counters]\n"
                "                   [--journal PATH] [--resume] [--progress]\n"
                "                   [--shard-cost C] [--no-shard]\n"
                "  bddmin_cli stats [batch flags]  (prints Prometheus-style"
