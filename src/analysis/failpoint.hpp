@@ -22,14 +22,12 @@
 /// R7 (tools/bddmin_lint.py) statically cross-checks that every
 /// `BDDMIN_FAILPOINT(` site is cataloged and unique.
 ///
-/// Arming, three ways:
+/// Arming, two ways:
 ///  * programmatically: `failpoints().arm("gc_oom", {.mode = kOnce})`
 ///  * environment:      `BDDMIN_FAILPOINTS=gc_oom:once,sink_drain_hang:nth:3`
 ///    (parsed by `arm_from_env`, which the batch engine calls at the top
 ///    of `run_batch` — so job *generation* in the CLI is never faulted,
 ///    only the batch under test)
-///  * from the stress FSM: the `failpoints` workload arms random-mode
-///    points mid-run (src/stress/workloads.cpp).
 ///
 /// Modes: `off`, `once` (fire on the next evaluation, then disarm),
 /// `nth:N` (fire on the Nth evaluation after arming, then disarm),
@@ -38,8 +36,8 @@
 ///
 /// Thread safety: `poll()` is safe from any thread.  The disarmed fast
 /// path is one relaxed atomic load; armed evaluation takes a per-site
-/// mutex.  Arming/disarming while sites are being evaluated is the
-/// intended use (that is what the stress workload does).
+/// mutex.  Arming/disarming while sites are being evaluated is safe
+/// (tests/test_failpoint.cpp, `PollIsSafeAgainstConcurrentArming`).
 #pragma once
 
 #include <atomic>
@@ -132,8 +130,8 @@ class FailPointRegistry {
   void disarm(std::string_view name);
   void disarm_all() noexcept;
 
-  /// Evaluate by name — for tests and the stress workload, which want
-  /// mode semantics without a compiled-in site.
+  /// Evaluate by name — for tests, which want mode semantics without a
+  /// compiled-in site.
   [[nodiscard]] FailPointHit evaluate(std::string_view name);
 
   /// Parse and arm one `name:mode[:arg...]` spec (grammar in the file

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <random>
 #include <set>
 #include <thread>
@@ -163,23 +162,37 @@ TEST(BatchEngine, PreCancelledBatchReportsEveryJobCancelled) {
 
 TEST(BatchEngine, MidRunCancellationKeepsJobsAtomic) {
   const std::vector<Job> jobs = random_jobs(40, 8, 0.4, 7700);
-  EngineOptions opts;
-  opts.num_threads = 2;
-  opts.cancel = std::make_shared<std::atomic<bool>>(false);
-  std::thread trigger([cancel = opts.cancel] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    cancel->store(true);
-  });
-  const BatchReport report = run_batch(jobs, opts);
-  trigger.join();
-  ASSERT_EQ(report.outcomes.size(), jobs.size());
-  for (const JobOutcome& o : report.outcomes) {
-    // Jobs are atomic: fully processed or never started — no torn state.
-    if (o.status == JobStatus::kOk) {
-      EXPECT_GT(o.min_size, 0u) << o.name;
-    } else {
-      ASSERT_EQ(o.status, JobStatus::kCancelled) << o.name;
-      EXPECT_EQ(o.min_size, 0u) << o.name;
+  // The tenth heuristic call raises the cancel flag, so the cancel always
+  // lands mid-run.  Unsharded, then packed a few jobs per shard: a shard
+  // is not a cancellation unit, so a cancel landing mid-shard must still
+  // leave one whole outcome per job.
+  for (const std::uint64_t shard_cost : {0u, 1024u}) {
+    const auto cancel = std::make_shared<std::atomic<bool>>(false);
+    const auto calls = std::make_shared<std::atomic<int>>(0);
+    EngineOptions opts;
+    opts.num_threads = 2;
+    opts.shard_cost = shard_cost;
+    opts.cancel = cancel;
+    opts.heuristics.push_back(
+        {"restr", [cancel, calls](Manager& m, Edge f, Edge c) {
+           if (calls->fetch_add(1) + 1 == 10) cancel->store(true);
+           return minimize::restrict_dc(m, f, c);
+         }});
+    const BatchReport report = run_batch(jobs, opts);
+    if (shard_cost > 0) {
+      EXPECT_LT(report.metrics.shards, jobs.size());
+    }
+    EXPECT_GT(report.count(JobStatus::kCancelled), 0u) << shard_cost;
+    ASSERT_EQ(report.outcomes.size(), jobs.size());
+    for (const JobOutcome& o : report.outcomes) {
+      // Jobs are atomic: fully processed or never started — no torn state.
+      if (o.status == JobStatus::kOk) {
+        EXPECT_GT(o.min_size, 0u) << o.name << " shard_cost " << shard_cost;
+      } else {
+        ASSERT_EQ(o.status, JobStatus::kCancelled)
+            << o.name << " shard_cost " << shard_cost;
+        EXPECT_EQ(o.min_size, 0u) << o.name << " shard_cost " << shard_cost;
+      }
     }
   }
 }

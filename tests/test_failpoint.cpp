@@ -4,8 +4,10 @@
 /// in-place degradation and audit-clean recovery.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/failpoint.hpp"
@@ -106,6 +108,37 @@ TEST_F(FailPointTest, RandomIsSeededAndDeterministic) {
   for (int i = 0; i < 10; ++i) {
     EXPECT_TRUE(failpoints().evaluate("gc_oom"));
   }
+}
+
+TEST_F(FailPointTest, PollIsSafeAgainstConcurrentArming) {
+  // Three threads poll a random-mode point while this thread arms and
+  // disarms it: every fire a poller sees is counted exactly once, and the
+  // point is silent once disarmed.  Under TSan (the engine label) this is
+  // the check that poll() and arming share no unguarded state.
+  analysis::FailPoint& point = failpoints().site("gc_oom");
+  const std::uint64_t fires_before = point.fire_count();
+  std::atomic<std::uint64_t> seen{0};
+  std::vector<std::thread> pollers;
+  for (int t = 0; t < 3; ++t) {
+    pollers.emplace_back([&point, &seen] {
+      std::uint64_t hits = 0;
+      for (int i = 0; i < 20'000; ++i) {
+        if (point.poll()) ++hits;
+      }
+      seen.fetch_add(hits);
+    });
+  }
+  FailPointConfig cfg;
+  cfg.mode = FailPointMode::kRandom;
+  cfg.probability = 0.5;
+  for (std::uint64_t round = 1; round <= 500; ++round) {
+    cfg.seed = round;
+    failpoints().arm("gc_oom", cfg);
+    failpoints().disarm("gc_oom");
+  }
+  for (std::thread& t : pollers) t.join();
+  EXPECT_EQ(seen.load(), point.fire_count() - fires_before);
+  EXPECT_FALSE(point.poll());
 }
 
 TEST_F(FailPointTest, HitCarriesTheDefaultOrOverriddenPayload) {
@@ -221,10 +254,11 @@ TEST_F(FailPointTest, InjectedOomLeavesManagersAuditClean) {
   }
 }
 
-TEST_F(FailPointTest, OomOutsideAHeuristicDegradesTheJob) {
+TEST_F(FailPointTest, InjectedTripDegradesTheJobInOrOutsideAHeuristic) {
   // gc_oom fires in the GC flush before the first heuristic and
-  // unique_insert_oom in decode: neither is inside a heuristic, and both
-  // must finish the job resource-limit, never error.
+  // unique_insert_oom in decode, outside any heuristic; minimize_deadline
+  // fires inside restr, whose slot degrades to the best cover so far.
+  // Each must finish the job resource-limit, never error.
   const std::vector<engine::Job> jobs = small_jobs(1);
   engine::EngineOptions eo;
   eo.heuristic = "restr";
@@ -234,7 +268,8 @@ TEST_F(FailPointTest, OomOutsideAHeuristicDegradesTheJob) {
     const char* spec;
     const char* detail;
   } cases[] = {{"gc_oom:once", "gc: out-of-memory"},
-               {"unique_insert_oom:once", "decode: out-of-memory"}};
+               {"unique_insert_oom:once", "decode: out-of-memory"},
+               {"minimize_deadline:once", "restr: deadline"}};
   for (const auto& c : cases) {
     failpoints().arm_from_spec(c.spec);
     const engine::BatchReport rep = engine::run_batch(jobs, eo);

@@ -269,13 +269,12 @@ TEST(GovernorEngine, TinyQuotaBatchNeverReportsErrors) {
 }
 
 TEST(Governor, ReorderUnderHardNodeQuotaKeepsTableConsistent) {
-  // Regression for the stress-harness find (workload "governor", seed 1,
-  // thread 0, step 4, state reorder-under-quota): NodeLimit used to fire
-  // from unique_insert inside swap_adjacent_levels *after* the order maps
-  // had flipped, tearing the table ("hi child at or above parent level"
-  // audit findings).  Quotas are now suspended for the duration of a swap
-  // (NodeQuotaSuspension) and re-enforced between swaps, so sifting under
-  // a quota either finishes or aborts at a consistent boundary.
+  // Regression: NodeLimit used to fire from unique_insert inside
+  // swap_adjacent_levels *after* the order maps had flipped, tearing the
+  // table ("hi child at or above parent level" audit findings).  Quotas
+  // are now suspended for the duration of a swap (NodeQuotaSuspension)
+  // and re-enforced between swaps, so sifting under a quota either
+  // finishes or aborts at a consistent boundary.
   Manager mgr(6, 10);
   const std::uint64_t tt_f = 0x6996'9669'9669'6996ull;  // parity: all vars
   const std::uint64_t tt_g = 0x5b93'c2a7'0f1e'6d48ull;  // interact

@@ -99,8 +99,6 @@ const std::vector<ParsedFinding> kSeeded = {
     {"tests/lint_fixtures/src/engine/failpoints.cpp", 13, "R7"},
     {"tests/lint_fixtures/src/engine/failpoints.cpp", 21, "R7"},
     {"tests/lint_fixtures/src/engine/failpoints.cpp", 26, "R7"},
-    {"tests/lint_fixtures/src/stress/hooks.cpp", 14, "R6"},
-    {"tests/lint_fixtures/src/stress/hooks.cpp", 20, "R6"},
     {"tests/lint_fixtures/suppressed.cpp", 16, "R3"},
     {"tests/lint_fixtures/tags.cpp", 16, "R2"},
     {"tests/lint_fixtures/tags.cpp", 21, "R2"},
@@ -152,22 +150,6 @@ TEST_F(LintTest, RuleSubsetSelection) {
   EXPECT_EQ(found[0].line, 42);
   EXPECT_EQ(found[1].line, 44);
   EXPECT_EQ(found[0].rule, "R5");
-}
-
-TEST_F(LintTest, R6ScopedToStressHarnessPaths) {
-  // The same held-lock-across-join shape outside src/stress/ is not R6's
-  // business: scopes.cpp lives at the fixture root and must stay R6-clean.
-  const RunResult r = run_lint(std::string("--rules R6 \"") +
-                               BDDMIN_REPO_ROOT + "/tests/lint_fixtures\"");
-  EXPECT_EQ(r.exit_code, 1) << r.output;
-  const std::vector<ParsedFinding> found = parse_findings(r.output);
-  ASSERT_EQ(found.size(), 2u) << r.output;
-  for (const ParsedFinding& f : found) {
-    EXPECT_EQ(f.rule, "R6");
-    EXPECT_NE(f.path.find("src/stress/"), std::string::npos) << f.path;
-  }
-  EXPECT_EQ(found[0].line, 14);
-  EXPECT_EQ(found[1].line, 20);
 }
 
 TEST_F(LintTest, RealTreeLintsClean) {

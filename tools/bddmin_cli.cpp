@@ -84,27 +84,10 @@
 ///     class, GC work, sift swaps and governor steps.  Set
 ///     BDDMIN_TRACE=<file> to also capture a Chrome trace of the run.
 ///
-/// bddmin_cli stress [--workload NAME] [--seed S] [--threads T]
-///                   [--steps K] [--wall-seconds W] [--audit-level L]
-///                   [--no-minimize] [--list] [--replay T:K]
-///                   [--expect-failure]
-///     FSM-driven concurrency stress harness (docs/STRESS.md): T threads
-///     walk the named workload graph (default `mixed`; `--list` shows
-///     all) for K seeded steps each, running invariant hooks between
-///     states.  The run is deterministic: the same --seed always yields
-///     the same final invariant digest (leave --wall-seconds unset when
-///     comparing digests).  Every failure prints a (seed, thread, step)
-///     triple plus a minimized single-threaded schedule; `--replay T:K`
-///     re-executes that thread's schedule on one thread and exits 0 iff
-///     the failure reproduces.  `--expect-failure` inverts the verdict
-///     for the `faults` workload: exit 0 iff an injected fault was caught
-///     AND its seed triple replayed single-threaded.
-///
-/// Exit codes: 0 every job ok; 3 at least one job errored (genuine bug;
-/// for `stress`: an invariant failed, or --replay/--expect-failure did
-/// not reproduce); 4 no errors but some jobs degraded (resource-limit,
-/// timeout or cancelled); 1 usage / I/O problems.  Unknown flags are
-/// ignored, so scripts that pass retired flags keep running.
+/// Exit codes: 0 every job ok; 3 at least one job errored (genuine bug);
+/// 4 no errors but some jobs degraded (resource-limit, timeout or
+/// cancelled); 1 usage / I/O problems.  Unknown flags are ignored, so
+/// scripts that pass retired flags keep running.
 /// ```
 #include <unistd.h>
 
@@ -135,8 +118,6 @@
 #include "harness/render.hpp"
 #include "minimize/registry.hpp"
 #include "pla/pla.hpp"
-#include "stress/runner.hpp"
-#include "stress/workloads.hpp"
 #include "telemetry/counters.hpp"
 
 namespace {
@@ -538,72 +519,6 @@ int cmd_failpoints(int argc, char** argv) {
   return 0;
 }
 
-int cmd_stress(int argc, char** argv) {
-  if (has_flag(argc, argv, "--list")) {
-    for (const stress::StressFsm& fsm : stress::builtin_workloads()) {
-      std::printf("%-10s %s\n", fsm.name.c_str(), fsm.description.c_str());
-    }
-    return 0;
-  }
-  const char* wname = flag_value(argc, argv, "--workload");
-  const stress::StressFsm fsm =
-      stress::workload_by_name(wname != nullptr ? wname : "mixed");
-  stress::StressOptions opts;
-  opts.seed = static_cast<std::uint64_t>(int_flag(argc, argv, "--seed", 1));
-  opts.num_threads =
-      static_cast<unsigned>(int_flag(argc, argv, "--threads", 4));
-  opts.steps_per_thread =
-      static_cast<std::size_t>(int_flag(argc, argv, "--steps", 32));
-  if (const char* wall = flag_value(argc, argv, "--wall-seconds")) {
-    opts.wall_budget_seconds = std::strtod(wall, nullptr);
-  }
-  opts.invariant_audit = static_cast<analysis::AuditLevel>(
-      std::clamp<long>(int_flag(argc, argv, "--audit-level", 2), 0, 3));
-  if (has_flag(argc, argv, "--no-minimize")) opts.minimize_failures = false;
-
-  if (const char* raw = flag_value(argc, argv, "--replay")) {
-    unsigned thread = 0;
-    unsigned long long step = 0;
-    if (std::sscanf(raw, "%u:%llu", &thread, &step) != 2) {
-      std::fprintf(stderr, "error: --replay wants THREAD:STEP, got '%s'\n",
-                   raw);
-      return 1;
-    }
-    const std::optional<stress::StressFailure> failure = stress::replay(
-        fsm, opts, thread, static_cast<std::size_t>(step));
-    if (!failure.has_value()) {
-      std::printf("replay clean: (seed=%llu thread=%u step=%llu) on '%s' "
-                  "reproduced no failure\n",
-                  static_cast<unsigned long long>(opts.seed), thread, step,
-                  fsm.name.c_str());
-      return 3;
-    }
-    std::printf("%s\n", failure->summary().c_str());
-    return 0;
-  }
-
-  const stress::StressReport report = stress::run_stress(fsm, opts);
-  std::printf("%s\n", report.summary().c_str());
-  if (has_flag(argc, argv, "--expect-failure")) {
-    if (report.ok()) {
-      std::printf("expected a failure but the run came back clean\n");
-      return 3;
-    }
-    for (const stress::StressFailure& f : report.failures) {
-      if (!f.replayed) {
-        std::printf("failure at thread=%u step=%llu did not replay "
-                    "single-threaded\n",
-                    f.at.thread,
-                    static_cast<unsigned long long>(f.at.step));
-        return 3;
-      }
-    }
-    std::printf("expected failure caught and replayed single-threaded\n");
-    return 0;
-  }
-  return report.ok() ? 0 : 3;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -625,9 +540,6 @@ int main(int argc, char** argv) {
     }
     if (argc >= 2 && std::strcmp(argv[1], "stats") == 0) {
       return cmd_stats(argc - 2, argv + 2);
-    }
-    if (argc >= 2 && std::strcmp(argv[1], "stress") == 0) {
-      return cmd_stress(argc - 2, argv + 2);
     }
     if (argc >= 2 && std::strcmp(argv[1], "failpoints") == 0) {
       return cmd_failpoints(argc - 2, argv + 2);
@@ -656,12 +568,6 @@ int main(int argc, char** argv) {
                "  bddmin_cli stats [batch flags]  (prints Prometheus-style"
                " telemetry counters)\n"
                "  bddmin_cli failpoints [--describe]  (lists the registered"
-               " fault-injection points)\n"
-               "  bddmin_cli stress [--workload NAME] [--seed S]"
-               " [--threads T] [--steps K]\n"
-               "                    [--wall-seconds W] [--audit-level L]"
-               " [--no-minimize]\n"
-               "                    [--list] [--replay T:K]"
-               " [--expect-failure]\n");
+               " fault-injection points)\n");
   return 1;
 }
